@@ -17,9 +17,7 @@ from .distribution import (
 )
 from .lattice import (
     DegenerateLatticeError,
-    FrameReport,
     QuadratureCapError,
-    build_frame_report,
     clt_coefficient,
     clt_frame_potential,
     exact_frame_potential,
@@ -45,7 +43,6 @@ __all__ = [
     "CliffordGate",
     "DegenerateLatticeError",
     "DiagonalizedSet",
-    "FrameReport",
     "KDistribution",
     "MomentReport",
     "NonCommutingSetError",
@@ -56,7 +53,6 @@ __all__ = [
     "SupportDescriptor",
     "SupportTooLargeError",
     "build_distribution",
-    "build_frame_report",
     "check_commuting_set",
     "clt_coefficient",
     "clt_frame_potential",

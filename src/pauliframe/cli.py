@@ -2,7 +2,8 @@
 emit a machine-readable report.
 
 Input format: one signed Pauli string per line, '#' starts a comment,
-blank lines ignored; the qubit count is inferred from the first string.
+blank lines ignored; the qubit count is inferred from the first string,
+and an identity string such as III is a parse error.
 Exact dyadic quantities are serialized as {"num": p, "den": q}; floats
 as plain JSON numbers.  Output is byte-identical for identical
 (input, flags, seed).
@@ -58,6 +59,10 @@ def load_pauli_file(path: str):
                 op = parse_pauli(text, n_expected=n)
             except PauliParseError as exc:
                 raise InputFileError(lineno, str(exc)) from exc
+            if op.is_identity():
+                raise InputFileError(
+                    lineno, f"identity string {text!r} acts as a global phase only"
+                )
             if n is None:
                 n = op.n
             ops.append(op)
@@ -145,7 +150,7 @@ def run_report(
     return doc
 
 
-def run_verify(ops, seed=0) -> list[str]:
+def run_verify(ops) -> list[str]:
     """Oracle cross-checks; returns the list of failure descriptions."""
     failures = []
     diag, sup, dist, mom = _analyze(ops)
@@ -215,6 +220,21 @@ def _emit(doc: dict, as_json: bool) -> None:
         print(_format_text(doc))
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer >= low (violations exit with code 2)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pauliframe",
@@ -226,21 +246,20 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("input", help="file with one Pauli string per line")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--json", action="store_true", help="JSON output")
         p.add_argument(
-            "--format", choices=("json", "text"), default=None,
-            help="output format (overrides --json)",
+            "--format", choices=("json", "text"), default="json",
+            help="output format",
         )
 
     p_report = sub.add_parser("report", help="full pipeline report")
     add_common(p_report)
     p_report.add_argument(
-        "--t", type=int, action="append", default=None, metavar="T",
+        "--t", type=_int_at_least(1), action="append", default=None, metavar="T",
         help="frame-potential order (repeatable)",
     )
     p_report.add_argument("--exact", action="store_true",
                           help="also compute the exact frame potential")
-    p_report.add_argument("--mc-samples", type=int, default=0,
+    p_report.add_argument("--mc-samples", type=_int_at_least(0), default=0,
                           help="Monte-Carlo samples per t (0 disables)")
 
     add_common(sub.add_parser("check", help="commutation check only"))
@@ -249,9 +268,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fp = sub.add_parser("frame-potential", help="emit V_U and F values")
     add_common(p_fp)
-    p_fp.add_argument("--t", type=int, action="append", default=None, metavar="T")
+    p_fp.add_argument("--t", type=_int_at_least(1), action="append", default=None,
+                      metavar="T")
     p_fp.add_argument("--exact", action="store_true")
-    p_fp.add_argument("--mc-samples", type=int, default=0)
+    p_fp.add_argument("--mc-samples", type=_int_at_least(0), default=0)
 
     add_common(sub.add_parser("verify", help="run oracle cross-checks"))
     return parser
@@ -260,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    as_json = args.format != "text"  # JSON is the default; --json is a no-op alias
+    as_json = args.format == "json"
 
     try:
         ops = load_pauli_file(args.input)
@@ -288,7 +308,7 @@ def main(argv=None) -> int:
             if ops[0].n > oracle.MAX_QUBITS:
                 print("verify requires the dense oracle (n <= 10)", file=sys.stderr)
                 return EXIT_GUARD
-            failures = run_verify(ops, seed=args.seed)
+            failures = run_verify(ops)
             doc = {
                 "schema": SCHEMA_VERSION,
                 "n": ops[0].n,

@@ -25,9 +25,10 @@ from .pauli import (
     CliffordGate,
     PauliString,
     check_commuting_set,
-    conjugate,
-    conjugate_by_circuit,
+    conjugate_rows,
     multiply,
+    pauli_rows,
+    row_pauli,
 )
 
 
@@ -52,26 +53,13 @@ class DiagonalizedSet:
     s: np.ndarray  # length N
 
 
-def _symplectic_row(p: PauliString) -> np.ndarray:
-    return np.concatenate([p.x, p.z])
-
-
-def _independent_generators(ops: list[PauliString]) -> list[PauliString]:
-    gens: list[PauliString] = []
-    stacked: list[np.ndarray] = []
-    current_rank = 0
-    for op in ops:
-        candidate = stacked + [_symplectic_row(op)]
-        r = gf2.rank(np.array(candidate, dtype=np.uint8))
-        if r > current_rank:
-            gens.append(op)
-            stacked = candidate
-            current_rank = r
-    return gens
-
-
 def simultaneous_diagonalize(ops: list[PauliString]) -> DiagonalizedSet:
-    """Build W, A, s for a pairwise-commuting set without identities."""
+    """Build W, A, s for a pairwise-commuting set without identities.
+
+    The N inputs and the independent generators are rows of one bit
+    matrix, so every synthesized gate updates all of them at once and A,
+    s are the final z-block and sign column of the input rows.
+    """
     if not ops:
         raise ValueError("empty operator list")
     bad = check_commuting_set(ops)
@@ -81,59 +69,49 @@ def simultaneous_diagonalize(ops: list[PauliString]) -> DiagonalizedSet:
         if op.is_identity():
             raise ValueError(f"operator {j} is the identity string")
     n = ops[0].n
+    N = len(ops)
 
-    gens = _independent_generators(ops)
+    x, z, r = pauli_rows(ops)
+    # The first operators that raise the rank: pivot columns of the
+    # symplectic matrix with one operator per column.
+    _, independent = gf2.rref(np.concatenate([x, z], axis=1).T)
+    x, z, r = (np.concatenate([a, a[independent]]) for a in (x, z, r))
     gates: list[CliffordGate] = []
 
     def apply(gate: CliffordGate) -> None:
         gates.append(gate)
-        for k in range(len(gens)):
-            gens[k] = conjugate(gens[k], gate)
+        conjugate_rows(x, z, r, gate)
 
-    done = [False] * len(gens)
+    todo = list(range(N, N + len(independent)))
     for q in range(n):
-        pivot_idx = None
-        for k, g in enumerate(gens):
-            if not done[k] and g.x[q]:
-                pivot_idx = k
-                break
-        if pivot_idx is None:
+        pivot = next((k for k in todo if x[k, q]), None)
+        if pivot is None:
             continue
-        # Clear column q of the x block in all other generators by row
-        # products (the set stays a generating set of the same group).
-        for k in range(len(gens)):
-            if k != pivot_idx and not done[k] and gens[k].x[q]:
-                gens[k] = multiply(gens[k], gens[pivot_idx])
+        todo.remove(pivot)
+        # Clear column q of the x block in the other open generators by
+        # row products (the set stays a generating set of the same group).
+        for k in todo:
+            if x[k, q]:
+                prod = multiply(row_pauli(x, z, r, k), row_pauli(x, z, r, pivot))
+                x[k], z[k], r[k] = prod.x, prod.z, prod.sign < 0
         # Reduce the pivot generator to exactly +-X_q.
-        pivot = gens[pivot_idx]
-        for q2 in range(n):
-            if q2 != q and pivot.x[q2]:
-                apply(CliffordGate.cnot(q, q2))
-        pivot = gens[pivot_idx]
-        for q2 in range(n):
-            if q2 != q and pivot.z[q2]:
-                apply(CliffordGate.cz(q, q2))
-        if gens[pivot_idx].z[q]:
+        for q2 in np.flatnonzero(x[pivot]):
+            if q2 != q:
+                apply(CliffordGate.cnot(q, int(q2)))
+        for q2 in np.flatnonzero(z[pivot]):
+            if q2 != q:
+                apply(CliffordGate.cz(q, int(q2)))
+        if z[pivot, q]:
             apply(CliffordGate.s(q))
-        pivot = gens[pivot_idx]
-        assert pivot.x[q] == 1 and not pivot.z.any()
-        assert not pivot.x[np.arange(n) != q].any()
+        assert np.flatnonzero(x[pivot]).tolist() == [q] and not z[pivot].any()
         # Every other generator commutes with +-X_q, hence has z_q = 0,
         # so H(q) only acts on the pivot.
         apply(CliffordGate.h(q))
-        done[pivot_idx] = True
 
-    assert all(not g.x.any() for g in gens), "elimination left an X component"
-
-    w = CliffordCircuit(n, tuple(gates))
-    A = np.zeros((len(ops), n), dtype=np.uint8)
-    s = np.zeros(len(ops), dtype=np.uint8)
-    for j, op in enumerate(ops):
-        lam = conjugate_by_circuit(op, w)
-        assert not lam.x.any(), "conjugated operator is not diagonal"
-        A[j] = lam.z
-        s[j] = 1 if lam.sign < 0 else 0
-    return DiagonalizedSet(circuit=w, A=A, s=s)
+    assert not x.any(), "elimination left an X component"
+    return DiagonalizedSet(
+        circuit=CliffordCircuit(n, tuple(gates)), A=z[:N].copy(), s=r[:N].copy()
+    )
 
 
 def verify_diagonalization(
@@ -141,16 +119,21 @@ def verify_diagonalization(
 ) -> tuple[bool, int | None]:
     """Re-derive each conjugated operator and compare with (A, s).
 
-    Returns (True, None) on success, else (False, j) for the first
-    operator that fails.
+    One pass over the gates conjugates all operators.  Returns
+    (True, None) on success, else (False, j) for the first operator that
+    fails.
     """
-    for j, op in enumerate(ops):
-        lam = conjugate_by_circuit(op, result.circuit)
-        ok = (
-            not lam.x.any()
-            and np.array_equal(lam.z, gf2.as_bits(result.A[j]))
-            and lam.sign == (-1 if result.s[j] else 1)
-        )
-        if not ok:
-            return False, j
+    x, z, r = pauli_rows(ops)
+    if x.shape[1] != result.circuit.n:
+        raise ValueError(f"size mismatch: {x.shape[1]} vs {result.circuit.n}")
+    for g in result.circuit.gates:
+        conjugate_rows(x, z, r, g)
+    ok = (
+        ~x.any(axis=1)
+        & (z == gf2.as_bits(result.A)).all(axis=1)
+        & (r == gf2.as_bits(result.s))
+    )
+    failed = np.flatnonzero(~ok)
+    if failed.size:
+        return False, int(failed[0])
     return True, None

@@ -126,50 +126,21 @@ def moments(d: KDistribution) -> MomentReport:
 
     Under the uniform-on-coset law, E K_j is (-1)^(b0_j) when row j of
     A R is zero and 0 otherwise; E K_i K_j is (-1)^(b0_i ^ b0_j) when
-    (row_i ^ row_j of A) R is zero and 0 otherwise.
+    rows i and j of A R are equal and 0 otherwise.
     """
-    N = d.N
-    if d.r > 0:
-        AR = gf2.mat_mul(d.A, d.R).astype(np.int64)
-    else:
-        AR = np.zeros((N, 0), dtype=np.int64)
-    mean = np.zeros(N, dtype=np.int64)
-    for j in range(N):
-        if not AR[j].any():
-            mean[j] = 1 - 2 * int(d.b0[j])
-    second = np.zeros((N, N), dtype=np.int64)
-    for i in range(N):
-        for j in range(i, N):
-            if not ((AR[i] + AR[j]) % 2).any():
-                val = 1 - 2 * (int(d.b0[i]) ^ int(d.b0[j]))
-                second[i, j] = second[j, i] = val
+    AR = gf2.mat_mul(d.A, d.R)
+    signs = 1 - 2 * d.b0.astype(np.int64)
+    _, group = np.unique(AR, axis=0, return_inverse=True)
+    group = group.reshape(-1)  # numpy 2.0.0 returns it as an (N, 1) column
+    mean = np.where(AR.any(axis=1), 0, signs)
+    second = np.where(group[:, None] == group[None, :], np.outer(signs, signs), 0)
     cov = second - np.outer(mean, mean)
-    det = _integer_det(cov)
+    # A zero row of A R gives a zero row of Cov, and two equal rows give
+    # rows of Cov equal up to sign; otherwise Cov is the identity.
+    det = int(np.array_equal(cov, np.eye(d.N, dtype=np.int64)))
     return MomentReport(
         mean=mean,
         covariance=cov,
         det_cov=Fraction(det),
         degenerate=(det == 0),
     )
-
-
-def _integer_det(m: np.ndarray) -> int:
-    """Exact determinant of a square integer matrix (Bareiss)."""
-    a = [[int(v) for v in row] for row in m]
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]

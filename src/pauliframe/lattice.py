@@ -15,8 +15,6 @@ trigonometric-grid quadrature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -31,21 +29,6 @@ class DegenerateLatticeError(ValueError):
 
 class QuadratureCapError(RuntimeError):
     """The quadrature grid (t+1)^N would exceed the size guard."""
-
-
-@dataclass(frozen=True)
-class FrameReport:
-    """Summary of the expressiveness analysis for one circuit."""
-
-    N: int
-    volume: int | None  # None marks a degenerate (rank-deficient) lattice
-    det_cov: Fraction
-    clt_coefficient: float | None
-    values: list[tuple] = field(default_factory=list)  # (t, clt, exact, mc)
-
-    @property
-    def degenerate(self) -> bool:
-        return self.volume is None
 
 
 def _hnf_diagonal(rows: list[list[int]], n: int) -> list[int] | None:
@@ -156,35 +139,3 @@ def exact_frame_potential(
         g = (phi.real**2 + phi.imag**2) ** t
         chunk_sums.append(math.fsum(g.tolist()))
     return math.fsum(chunk_sums) / total
-
-
-def build_frame_report(
-    d: KDistribution,
-    det_cov,
-    t_values: list[int] | None = None,
-    exact: bool = False,
-    mc=None,
-) -> FrameReport:
-    """Assemble volume, CLT coefficient and per-t values.
-
-    ``mc`` is an optional callable t -> (estimate, stderr) supplied by the
-    caller (the oracle's Monte-Carlo integrator).
-    """
-    pts = support_points(d)
-    vol = lattice_volume(pts)
-    det_cov = Fraction(det_cov)
-    degenerate = vol is None or det_cov == 0
-    coeff = None if degenerate else clt_coefficient(vol, det_cov, d.N)
-    values = []
-    for t in t_values or []:
-        clt = None if degenerate else clt_frame_potential(vol, det_cov, d.N, t)
-        ex = exact_frame_potential(d, t) if exact else None
-        mc_val = mc(t) if mc is not None else None
-        values.append((t, clt, ex, mc_val))
-    return FrameReport(
-        N=d.N,
-        volume=None if degenerate else vol,
-        det_cov=det_cov,
-        clt_coefficient=coeff,
-        values=values,
-    )

@@ -212,46 +212,68 @@ class CliffordCircuit:
                 raise ValueError(f"gate {g} out of range for n={self.n}")
 
 
-def conjugate(p: PauliString, g: CliffordGate) -> PauliString:
-    """Conjugation g p g† with sign tracking."""
-    if any(q >= p.n for q in g.qubits):
-        raise ValueError(f"gate {g} out of range for n={p.n}")
-    x = p.x.copy()
-    z = p.z.copy()
-    flip = 0
+def pauli_rows(ops: list[PauliString]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stack strings as (x, z, sign-bit) row arrays for conjugate_rows."""
+    n = ops[0].n
+    x = np.array([p.x for p in ops], dtype=np.uint8).reshape(len(ops), n)
+    z = np.array([p.z for p in ops], dtype=np.uint8).reshape(len(ops), n)
+    r = np.array([p.sign < 0 for p in ops], dtype=np.uint8)
+    return x, z, r
+
+
+def row_pauli(x: np.ndarray, z: np.ndarray, r: np.ndarray, k: int) -> PauliString:
+    """Row k of (x, z, sign-bit) row arrays as a PauliString."""
+    return PauliString(x.shape[1], x[k], z[k], -1 if r[k] else 1)
+
+
+def conjugate_rows(x: np.ndarray, z: np.ndarray, r: np.ndarray, g: CliffordGate) -> None:
+    """Conjugation g p g† of every row p = (-1)^r X^x Z^z, in place.
+
+    ``x`` and ``z`` are (rows, n) bit matrices and ``r`` the sign-bit
+    column; this is the only copy of the gate-update rules.
+    """
+    if any(q >= x.shape[1] for q in g.qubits):
+        raise ValueError(f"gate {g} out of range for n={x.shape[1]}")
     if g.name == "H":
         (q,) = g.qubits
-        flip = int(x[q] & z[q])
-        x[q], z[q] = z[q], x[q]
+        r ^= x[:, q] & z[:, q]
+        x[:, q], z[:, q] = z[:, q].copy(), x[:, q].copy()
     elif g.name == "S":
         (q,) = g.qubits
-        flip = int(x[q] & z[q])
-        z[q] ^= x[q]
+        r ^= x[:, q] & z[:, q]
+        z[:, q] ^= x[:, q]
     elif g.name == "X":
         (q,) = g.qubits
-        flip = int(z[q])
+        r ^= z[:, q]
     elif g.name == "Z":
         (q,) = g.qubits
-        flip = int(x[q])
+        r ^= x[:, q]
     elif g.name == "CNOT":
         c, t = g.qubits
-        flip = int(x[c] & z[t] & (x[t] ^ z[c] ^ 1))
-        x[t] ^= x[c]
-        z[c] ^= z[t]
+        r ^= x[:, c] & z[:, t] & (x[:, t] ^ z[:, c] ^ 1)
+        x[:, t] ^= x[:, c]
+        z[:, c] ^= z[:, t]
     elif g.name == "CZ":
         a, b = g.qubits
-        flip = int(x[a] & x[b] & (z[a] ^ z[b]))
-        z[a] ^= x[b]
-        z[b] ^= x[a]
-    sign = -p.sign if flip else p.sign
-    return PauliString(p.n, x, z, sign)
+        r ^= x[:, a] & x[:, b] & (z[:, a] ^ z[:, b])
+        z[:, a] ^= x[:, b]
+        z[:, b] ^= x[:, a]
+    else:
+        raise ValueError(f"unknown gate {g.name!r}")
+
+
+def conjugate(p: PauliString, g: CliffordGate) -> PauliString:
+    """Conjugation g p g† with sign tracking."""
+    x, z, r = pauli_rows([p])
+    conjugate_rows(x, z, r, g)
+    return row_pauli(x, z, r, 0)
 
 
 def conjugate_by_circuit(p: PauliString, w: CliffordCircuit) -> PauliString:
-    """Fold conjugate over the circuit's gates in application order."""
+    """Conjugate by the circuit's gates in application order."""
     if p.n != w.n:
         raise ValueError(f"size mismatch: {p.n} vs {w.n}")
-    out = p
+    x, z, r = pauli_rows([p])
     for g in w.gates:
-        out = conjugate(out, g)
-    return out
+        conjugate_rows(x, z, r, g)
+    return row_pauli(x, z, r, 0)

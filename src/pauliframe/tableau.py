@@ -1,8 +1,10 @@
-"""Aaronson-Gottesman stabilizer tableau with measurement.
+"""Aaronson-Gottesman stabilizer tableau and the support of its state.
 
 The tableau holds 2n generators (n destabilizers on top, n stabilizers on
 the bottom) as a 2n x n X block, a 2n x n Z block and a 2n sign-bit
-column.  Phase bookkeeping in rowsum is the standard mod-4 exponent sum.
+column.  Gates update it through ``pauli.conjugate_rows``; the support
+is read from the stabilizer half by row reduction, with row products
+through ``pauli.multiply``.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf2
-from .pauli import CliffordCircuit
+from .pauli import CliffordCircuit, conjugate_rows, multiply, row_pauli
 
 
 @dataclass(frozen=True)
@@ -40,125 +42,8 @@ class StabilizerTableau:
             self.x[i, i] = 1
             self.z[n + i, i] = 1
 
-    def copy(self) -> "StabilizerTableau":
-        out = StabilizerTableau.__new__(StabilizerTableau)
-        out.n = self.n
-        out.x = self.x.copy()
-        out.z = self.z.copy()
-        out.r = self.r.copy()
-        return out
-
-    # -- gates ---------------------------------------------------------
-
     def apply_gate(self, gate) -> None:
-        x, z, r = self.x, self.z, self.r
-        for q in gate.qubits:
-            if q >= self.n:
-                raise ValueError(f"gate {gate} out of range for n={self.n}")
-        if gate.name == "H":
-            (q,) = gate.qubits
-            r ^= x[:, q] & z[:, q]
-            x[:, q], z[:, q] = z[:, q].copy(), x[:, q].copy()
-        elif gate.name == "S":
-            (q,) = gate.qubits
-            r ^= x[:, q] & z[:, q]
-            z[:, q] ^= x[:, q]
-        elif gate.name == "X":
-            (q,) = gate.qubits
-            r ^= z[:, q]
-        elif gate.name == "Z":
-            (q,) = gate.qubits
-            r ^= x[:, q]
-        elif gate.name == "CNOT":
-            c, t = gate.qubits
-            r ^= x[:, c] & z[:, t] & (x[:, t] ^ z[:, c] ^ 1)
-            x[:, t] ^= x[:, c]
-            z[:, c] ^= z[:, t]
-        elif gate.name == "CZ":
-            a, b = gate.qubits
-            r ^= x[:, a] & x[:, b] & (z[:, a] ^ z[:, b])
-            z[:, a] ^= x[:, b]
-            z[:, b] ^= x[:, a]
-        else:
-            raise ValueError(f"unknown gate {gate.name!r}")
-
-    # -- rowsum phase arithmetic ----------------------------------------
-
-    @staticmethod
-    def _g(x1, z1, x2, z2):
-        # exponent of i contributed per qubit when multiplying row 2 by row 1
-        x1 = x1.astype(np.int64)
-        z1 = z1.astype(np.int64)
-        x2 = x2.astype(np.int64)
-        z2 = z2.astype(np.int64)
-        return (
-            x1 * z1 * (z2 - x2)
-            + x1 * (1 - z1) * z2 * (2 * x2 - 1)
-            + (1 - x1) * z1 * x2 * (1 - 2 * z2)
-        )
-
-    def _rowsum(self, h: int, i: int) -> None:
-        """Row h := row i * row h, with exact phase tracking."""
-        phase = (
-            2 * int(self.r[h])
-            + 2 * int(self.r[i])
-            + int(self._g(self.x[i], self.z[i], self.x[h], self.z[h]).sum())
-        ) % 4
-        assert phase in (0, 2), "non-Hermitian phase in rowsum"
-        self.r[h] = phase // 2
-        self.x[h] ^= self.x[i]
-        self.z[h] ^= self.z[i]
-
-    # -- measurement -----------------------------------------------------
-
-    def measure(self, q: int, forced: int | None = None, rng=None):
-        """Z-basis measurement of qubit q (in place).
-
-        Returns (outcome, deterministic).  For a random outcome, ``forced``
-        fixes the result; otherwise ``rng`` (numpy Generator) draws it.
-        """
-        n = self.n
-        if not 0 <= q < n:
-            raise ValueError(f"qubit {q} out of range")
-        stab_hits = np.nonzero(self.x[n:, q])[0]
-        if stab_hits.size > 0:
-            # Random outcome.
-            p = n + int(stab_hits[0])
-            if forced is not None:
-                outcome = int(forced) & 1
-            elif rng is not None:
-                outcome = int(rng.integers(2))
-            else:
-                outcome = int(np.random.default_rng().integers(2))
-            # Row p - n is overwritten below, so its rowsum (which would
-            # carry an odd phase against its own stabilizer) is skipped.
-            for i in range(2 * n):
-                if i != p and i != p - n and self.x[i, q]:
-                    self._rowsum(i, p)
-            self.x[p - n] = self.x[p]
-            self.z[p - n] = self.z[p]
-            self.r[p - n] = self.r[p]
-            self.x[p] = 0
-            self.z[p] = 0
-            self.z[p, q] = 1
-            self.r[p] = outcome
-            return outcome, False
-        # Deterministic outcome: scratch-row sum over destabilizers.
-        sx = np.zeros(n, dtype=np.uint8)
-        sz = np.zeros(n, dtype=np.uint8)
-        sr = 0
-        for i in range(n):
-            if self.x[i, q]:
-                phase = (
-                    2 * sr
-                    + 2 * int(self.r[n + i])
-                    + int(self._g(self.x[n + i], self.z[n + i], sx, sz).sum())
-                ) % 4
-                assert phase in (0, 2)
-                sr = phase // 2
-                sx ^= self.x[n + i]
-                sz ^= self.z[n + i]
-        return sr, True
+        conjugate_rows(self.x, self.z, self.r, gate)
 
     # -- support extraction ----------------------------------------------
 
@@ -166,25 +51,38 @@ class StabilizerTableau:
         """X block of the stabilizer rows (bottom half)."""
         return self.x[self.n :].copy()
 
-    def sample_basis_state(self) -> np.ndarray:
-        """Measure all qubits on a copy, forcing 0 at every random outcome.
-
-        The returned label u always satisfies |<psi|u>|^2 = 2^{-r} > 0.
-        """
-        work = self.copy()
-        u = np.zeros(self.n, dtype=np.uint8)
-        for q in range(self.n):
-            outcome, _ = work.measure(q, forced=0)
-            u[q] = outcome
-        return u
-
     def extract_support(self) -> SupportDescriptor:
-        """(R, t, r) with support {R z + t : z in Z_2^r}."""
-        xb = self.xbar()
-        basis = gf2.row_space_basis(xb)  # r x n, reduced echelon
-        r = basis.shape[0]
-        R = basis.T.copy()  # n x r, full column rank
-        t = self.sample_basis_state()
+        """(R, t, r) with support {R z + t : z in Z_2^r}.
+
+        Gauss-Jordan elimination of the stabilizers on their X block
+        leaves r rows whose X parts are the reduced echelon basis of the
+        support directions, and n - r diagonal stabilizers (-1)^s Z^z: a
+        label u is in the support iff z . u = s for each of them.  t is
+        the solution with zeros at the pivot columns, which is the
+        smallest support index with qubit 0 as the most significant bit.
+        """
+        n = self.n
+        rows = [row_pauli(self.x, self.z, self.r, i) for i in range(n, 2 * n)]
+        pivots: list[int] = []
+        for q in range(n):
+            hit = next((k for k in range(len(pivots), n) if rows[k].x[q]), None)
+            if hit is None:
+                continue
+            p = len(pivots)
+            rows[p], rows[hit] = rows[hit], rows[p]
+            for k in range(n):
+                if k != p and rows[k].x[q]:
+                    rows[k] = multiply(rows[k], rows[p])
+            pivots.append(q)
+        r = len(pivots)
+        R = np.array([row.x for row in rows[:r]], dtype=np.uint8).reshape(r, n).T.copy()
+        diag = rows[r:]
+        t = gf2.solve(
+            np.array([d.z for d in diag], dtype=np.uint8).reshape(n - r, n),
+            np.array([d.sign < 0 for d in diag], dtype=np.uint8),
+        )
+        assert t is not None, "diagonal stabilizers are inconsistent"
+        t ^= gf2.mat_vec(R, t[pivots])  # R is the identity at the pivots
         return SupportDescriptor(R=R, t=t, r=r)
 
     # -- debug dump --------------------------------------------------------

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 from pauliframe.cli import main
 
-from conftest import EXAMPLE_SET_1
+from conftest import EXAMPLE_SET_1, EXAMPLE_SET_2
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture
@@ -142,3 +145,52 @@ class TestSubcommands:
         _, out2, _ = run(capsys, "frame-potential", str(path), "--t", "1",
                          "--mc-samples", "20000", "--seed", "3")
         assert out1 == out2
+
+
+class TestGolden:
+    """stdout recorded from an earlier release, compared byte for byte."""
+
+    @pytest.mark.parametrize("example, ops", [(1, EXAMPLE_SET_1), (2, EXAMPLE_SET_2)])
+    @pytest.mark.parametrize(
+        "command, flags",
+        [("report", ["--t", "1", "--t", "10", "--exact"]), ("diagonalize", [])],
+    )
+    def test_worked_examples(self, capsys, tmp_path, example, ops, command, flags):
+        path = tmp_path / "ops.txt"
+        path.write_text("\n".join(ops) + "\n")
+        code, out, _ = run(capsys, command, str(path), *flags)
+        assert code == 0
+        assert out == (GOLDEN / f"example{example}_{command}.json").read_text()
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize(
+        "command",
+        ["report", "verify", "distribution", "diagonalize", "frame-potential", "check"],
+    )
+    def test_identity_line_is_parse_error(self, capsys, tmp_path, command):
+        path = tmp_path / "ops.txt"
+        path.write_text("XX\n# the next line is the identity\n-II\n")
+        code, out, err = run(capsys, command, str(path))
+        assert code == 2
+        assert out == ""
+        assert "line 3" in err and "identity" in err
+
+    @pytest.mark.parametrize(
+        "content", ["XX\nZZ\n", "Z\n"], ids=["nondegenerate", "degenerate"]
+    )
+    @pytest.mark.parametrize("command", ["report", "frame-potential"])
+    @pytest.mark.parametrize(
+        "flags",
+        [["--t", "0"], ["--t", "-1"], ["--t", "0", "--exact"], ["--t", "two"],
+         ["--mc-samples", "-5"]],
+    )
+    def test_invalid_flag_values_exit_2(self, capsys, tmp_path, content, command, flags):
+        path = tmp_path / "ops.txt"
+        path.write_text(content)
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(path), *flags])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert flags[0] in captured.err

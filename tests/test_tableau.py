@@ -63,7 +63,7 @@ def tableau_invariants_hold(tab):
 
 
 class TestInvariants:
-    def test_hold_after_every_gate_and_measurement(self):
+    def test_hold_after_every_gate(self):
         rng = np.random.default_rng(5)
         for _ in range(15):
             n = int(rng.integers(1, 5))
@@ -71,100 +71,6 @@ class TestInvariants:
             for g in random_clifford_circuit(n, 25, rng).gates:
                 tab.apply_gate(g)
                 assert tableau_invariants_hold(tab)
-            for q in range(n):
-                tab.measure(q, forced=int(rng.integers(2)))
-                assert tableau_invariants_hold(tab)
-
-
-class TestMeasure:
-    def test_zero_state_deterministic(self):
-        tab = StabilizerTableau(1)
-        outcome, deterministic = tab.measure(0)
-        assert outcome == 0 and deterministic
-
-    def test_plus_state_forced(self):
-        tab = tableau_from_circuit(CliffordCircuit(1, (CliffordGate.h(0),)))
-        outcome, deterministic = tab.measure(0, forced=0)
-        assert outcome == 0 and not deterministic
-        # post-state is |0>: measuring again is deterministic 0
-        outcome, deterministic = tab.measure(0)
-        assert outcome == 0 and deterministic
-
-    def test_minus_state(self):
-        w = CliffordCircuit(1, (CliffordGate.h(0), CliffordGate.z(0)))
-        tab = tableau_from_circuit(w)
-        outcome, deterministic = tab.measure(0, forced=0)
-        assert outcome == 0 and not deterministic
-        probs = amplitudes_squared(dense_state_from_circuit(w))
-        assert probs[0] == pytest.approx(0.5)
-
-    def test_rank_decrement_per_random_measurement(self):
-        rng = np.random.default_rng(21)
-        for _ in range(20):
-            n = int(rng.integers(1, 6))
-            tab = tableau_from_circuit(random_clifford_circuit(n, 30, rng))
-            rank = gf2.rank(tab.xbar())
-            for q in range(n):
-                _, deterministic = tab.measure(q, forced=0)
-                new_rank = gf2.rank(tab.xbar())
-                assert new_rank == rank - (0 if deterministic else 1)
-                rank = new_rank
-            assert rank == 0
-            assert not tab.xbar().any()
-
-
-class TestSampleBasisState:
-    def test_zero_state(self):
-        assert not StabilizerTableau(3).sample_basis_state().any()
-
-    def test_does_not_mutate(self):
-        tab = tableau_from_circuit(
-            CliffordCircuit(2, (CliffordGate.h(0), CliffordGate.cnot(0, 1)))
-        )
-        before = tab.dump()
-        tab.sample_basis_state()
-        assert tab.dump() == before
-
-    def test_sampled_state_has_nonzero_amplitude(self):
-        rng = np.random.default_rng(13)
-        for _ in range(25):
-            n = int(rng.integers(1, 6))
-            w = random_clifford_circuit(n, 30, rng)
-            tab = tableau_from_circuit(w)
-            u = tab.sample_basis_state()
-            probs = amplitudes_squared(dense_state_from_circuit(w))
-            r = gf2.rank(tab.xbar())
-            assert probs[bits_to_index(u)] == pytest.approx(2.0**-r, abs=1e-10)
-
-    def test_flipping_one_outcome_moves_within_row_space(self):
-        rng = np.random.default_rng(17)
-        for _ in range(20):
-            n = int(rng.integers(2, 6))
-            w = random_clifford_circuit(n, 30, rng)
-            base_tab = tableau_from_circuit(w)
-            xbar = base_tab.xbar()
-            u0 = base_tab.sample_basis_state()
-            # Replay, flipping the k-th random outcome to 1.
-            random_positions = []
-            probe = base_tab.copy()
-            for q in range(n):
-                _, det = probe.measure(q, forced=0)
-                if not det:
-                    random_positions.append(q)
-            for k in range(len(random_positions)):
-                work = base_tab.copy()
-                u = np.zeros(n, dtype=np.uint8)
-                seen_random = 0
-                for q in range(n):
-                    hits = np.nonzero(work.x[n:, q])[0]
-                    force = 0
-                    if hits.size and seen_random == k:
-                        force = 1
-                    if hits.size:
-                        seen_random += 1
-                    out, _ = work.measure(q, forced=force)
-                    u[q] = out
-                assert gf2.in_row_span(xbar, u ^ u0)
 
 
 class TestExtractSupport:
@@ -202,6 +108,17 @@ class TestExtractSupport:
             sup = tab.extract_support()
             assert sup.r == gf2.rank(tab.xbar())
             assert gf2.rank(sup.R) == sup.r
+
+    def test_t_is_smallest_support_index_and_zero_at_pivots(self):
+        rng = np.random.default_rng(37)
+        for _ in range(40):
+            n = int(rng.integers(1, 7))
+            w = random_clifford_circuit(n, 40, rng)
+            sup = tableau_from_circuit(w).extract_support()
+            probs = amplitudes_squared(dense_state_from_circuit(w))
+            assert bits_to_index(sup.t) == int(np.flatnonzero(probs > 1e-12)[0])
+            _, pivots = gf2.rref(sup.R.T)
+            assert not sup.t[pivots].any()
 
 
 class TestDump:
