@@ -1,9 +1,10 @@
 """Command-line interface: ingest a Pauli-set file, run the pipeline,
 emit a machine-readable report.
 
-Input format: one signed Pauli string per line, '#' starts a comment,
-blank lines ignored; the qubit count is inferred from the first string,
-and an identity string such as III is a parse error.
+Input format: UTF-8 text (a leading byte-order mark is skipped), one
+signed Pauli string per line, '#' starts a comment, blank lines ignored;
+the qubit count is inferred from the first string, and an identity
+string such as III is a parse error.
 Exact dyadic quantities are serialized as {"num": p, "den": q}; floats
 as plain JSON numbers.  Output is byte-identical for identical
 (input, flags, seed).
@@ -12,6 +13,7 @@ as plain JSON numbers.  Output is byte-identical for identical
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 from fractions import Fraction
@@ -48,24 +50,33 @@ class InputFileError(ValueError):
 
 def load_pauli_file(path: str):
     """Parse the input file into a list of PauliStrings."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        content = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # exc.object is the input after any byte-order mark.
+        head = exc.object[: exc.start]
+        lineno = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        bad = exc.object[exc.start]
+        raise InputFileError(lineno, f"byte {bad:#04x} is not valid UTF-8") from None
     ops = []
     n = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.split("#", 1)[0].strip()
-            if not text:
-                continue
-            try:
-                op = parse_pauli(text, n_expected=n)
-            except PauliParseError as exc:
-                raise InputFileError(lineno, str(exc)) from exc
-            if op.is_identity():
-                raise InputFileError(
-                    lineno, f"identity string {text!r} acts as a global phase only"
-                )
-            if n is None:
-                n = op.n
-            ops.append(op)
+    for lineno, raw in enumerate(io.StringIO(content, newline=None), start=1):
+        text = raw.split("#", 1)[0].strip()
+        if not text:
+            continue
+        try:
+            op = parse_pauli(text, n_expected=n)
+        except PauliParseError as exc:
+            raise InputFileError(lineno, str(exc)) from exc
+        if op.is_identity():
+            raise InputFileError(
+                lineno, f"identity string {text!r} acts as a global phase only"
+            )
+        if n is None:
+            n = op.n
+        ops.append(op)
     if not ops:
         raise InputFileError(0, "no Pauli strings in input")
     return ops

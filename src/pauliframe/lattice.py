@@ -8,8 +8,8 @@ approximation of the frame potential
     F~(t) = V / sqrt((4 pi t)^N det Cov(K)),
 
 and the exact frame potential P(walk returns to 0 after t steps) equals
-the DC Fourier coefficient of |phi_K|^(2t), computed here by an exact
-trigonometric-grid quadrature.
+the DC Fourier coefficient of |phi_K|^(2t), computed here exactly from
+one DFT of the indicator of the support, taken in slabs.
 """
 
 from __future__ import annotations
@@ -104,16 +104,18 @@ def clt_coefficient(volume: int, det_cov, N: int) -> float:
     return volume / math.sqrt((4 * math.pi) ** N * det_cov)
 
 
-def exact_frame_potential(
-    d: KDistribution, t: int, chunk: int = 1 << 16
-) -> float:
+def exact_frame_potential(d: KDistribution, t: int) -> float:
     """P(W_t = 0): exact return probability of the K-increment walk.
 
-    |phi_K(theta)|^2 is a trigonometric polynomial whose frequencies, in
-    the halved variable psi = 2 theta, are integers bounded by 1 per
-    axis; its t-th power has frequencies bounded by t, so averaging over
-    the uniform (t+1)-point grid per axis reproduces the DC coefficient
-    with no aliasing.  Summation is compensated (fsum of chunk sums).
+    With support points p = 1 - 2b, |phi_K(k pi / (t+1))|^2 = |I(k)|^2 / M^2
+    where I is the DFT of the 0/1 indicator of the b's on Z_{t+1}^N.  Its
+    t-th power has frequencies bounded by t per axis, so the mean over the
+    (t+1)^N grid is the DC coefficient, with no aliasing.  The indicator
+    vanishes unless b_0 is 0 or 1, so only the DFTs F_0, F_1 of those two
+    (t+1)^(N-1) slices are taken; slab k_0 of I is F_0 + w^k_0 F_1 with
+    w = exp(-2 pi i / (t+1)).  Slabs are summed in steps of at least
+    sqrt(grid) points (grouped only when N = 1), so memory stays at a few
+    slice-sized arrays.
     """
     if t <= 0 or int(t) != t:
         raise ValueError("t must be a positive integer")
@@ -124,18 +126,16 @@ def exact_frame_potential(
         raise QuadratureCapError(
             f"grid of (t+1)^N = {total} points exceeds cap {GRID_CAP}"
         )
-    points = np.array(support_points(d), dtype=np.float64)  # M x N
-    m_count = points.shape[0]
-    if m_count == 1:
+    bits = (1 - np.array(support_points(d))) // 2  # M x N
+    if len(bits) == 1:
         return 1.0
-    strides = n_grid ** np.arange(d.N - 1, -1, -1, dtype=np.int64)
-    step = math.pi / n_grid  # theta = psi / 2 with psi on the 2*pi/(t+1) grid
-    chunk_sums: list[float] = []
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        digits = (idx[:, None] // strides) % n_grid
-        theta = digits.astype(np.float64) * step
-        phi = np.exp(1j * (theta @ points.T)).mean(axis=1)
-        g = (phi.real**2 + phi.imag**2) ** t
-        chunk_sums.append(math.fsum(g.tolist()))
-    return math.fsum(chunk_sums) / total
+    indicator = np.zeros((2,) + (n_grid,) * (d.N - 1))
+    indicator[tuple(bits.T)] = 1.0
+    f0, f1 = np.fft.fftn(indicator, axes=range(1, d.N)) / len(bits)
+    rows = max(1, math.isqrt(total) // f0.size)
+    slab_sums = []
+    for start in range(0, n_grid, rows):
+        w = np.exp(-2j * math.pi * np.arange(start, min(start + rows, n_grid)) / n_grid)
+        slab = f0 + np.multiply.outer(w, f1)
+        slab_sums.append(float(np.sum((slab.real**2 + slab.imag**2) ** t)))
+    return math.fsum(slab_sums) / total

@@ -115,17 +115,30 @@ def commutes(p: PauliString, q: PauliString) -> bool:
 
 
 def check_commuting_set(ops: list[PauliString]) -> tuple[int, int] | None:
-    """Return None if all pairs commute, else the first violating (i, j)."""
+    """Return None if all pairs commute, else the first violating (i, j).
+
+    All symplectic products are the GF(2) product S = [X Z] [Z X]^T; it
+    is formed a block of rows at a time, each block about 2^20 entries,
+    so a long list never needs the whole N x N matrix.  The integer
+    product is taken in float64, where sums of 0/1 terms are exact, for
+    BLAS speed.  S is symmetric with a zero diagonal, so its first
+    nonzero entry in row-major order is the first violating pair i < j.
+    """
     if not ops:
         raise ValueError("empty operator list")
     n = ops[0].n
     for op in ops:
         if op.n != n:
             raise ValueError("mixed qubit counts in operator list")
-    for i in range(len(ops)):
-        for j in range(i + 1, len(ops)):
-            if not commutes(ops[i], ops[j]):
-                return (i, j)
+    x, z, _ = pauli_rows(ops)
+    xz = np.hstack([x, z]).astype(np.float64)
+    zx = np.hstack([z, x]).T.astype(np.float64)
+    rows = max(1, (1 << 20) // len(ops))
+    for start in range(0, len(ops), rows):
+        block = (xz[start : start + rows] @ zx).astype(np.int64) & 1
+        if block.any():
+            i, j = np.argwhere(block)[0]
+            return (start + int(i), int(j))
     return None
 
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -63,3 +65,22 @@ def inverse_circuit(w: CliffordCircuit) -> CliffordCircuit:
         else:
             inv.append(g)
     return CliffordCircuit(w.n, tuple(inv))
+
+
+def walk_count_frame_potential(bits, t: int) -> Fraction:
+    """F(t) = sum_x count_t(x)^2 / M^(2t) from integer walk counts.
+
+    ``bits`` holds the M support points of K as 0/1 rows b, K = 1 - 2b.
+    count_t(x) is the number of t-step sequences of support points whose
+    b's sum to x; after k steps every coordinate of x lies in [0, k].
+    """
+    bits = np.asarray(bits, dtype=np.int64)
+    M, N = bits.shape
+    assert M**t < 2**63, "walk counts would overflow int64"
+    counts = np.ones((1,) * N, dtype=np.int64)
+    for k in range(1, t + 1):
+        nxt = np.zeros((k + 1,) * N, dtype=np.int64)
+        for b in bits:
+            nxt[tuple(slice(int(v), int(v) + k) for v in b)] += counts
+        counts = nxt
+    return Fraction(sum(c * c for c in counts[counts != 0].tolist()), M ** (2 * t))

@@ -1,13 +1,15 @@
 from __future__ import annotations
 
+import itertools
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pauliframe.cli import main
 
-from conftest import EXAMPLE_SET_1, EXAMPLE_SET_2
+from conftest import EXAMPLE_SET_1, EXAMPLE_SET_2, walk_count_frame_potential
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -147,6 +149,41 @@ class TestSubcommands:
         assert out1 == out2
 
 
+_PAULI_MATRICES = {
+    "I": np.eye(2),
+    "X": np.array([[0, 1], [1, 0]]),
+    "Y": np.array([[0, -1j], [1j, 0]]),
+    "Z": np.diag([1, -1]),
+}
+
+
+def measured_support_bits(texts):
+    """Outcomes b (K = 1 - 2b) of measuring commuting strings on |0...0>.
+
+    Dense projectors prod_j (1 + K_j H_j) / 2, built from Kronecker
+    products; the law must be uniform on its support.
+    """
+    mats = []
+    for text in texts:
+        m = np.array([[-1 if text.startswith("-") else 1]])
+        for c in text.lstrip("+-"):
+            m = np.kron(m, _PAULI_MATRICES[c])
+        mats.append(m)
+    zero = np.zeros(mats[0].shape[0])
+    zero[0] = 1
+    bits, probs = [], []
+    for b in itertools.product((0, 1), repeat=len(mats)):
+        v = zero
+        for m, bj in zip(mats, b):
+            v = (v + (1 - 2 * bj) * (m @ v)) / 2
+        p = np.vdot(v, v).real
+        if p > 1e-9:
+            bits.append(b)
+            probs.append(p)
+    assert np.allclose(probs, 1 / len(bits), rtol=0, atol=1e-12)
+    return np.array(bits)
+
+
 class TestGolden:
     """stdout recorded from an earlier release, compared byte for byte."""
 
@@ -161,6 +198,18 @@ class TestGolden:
         code, out, _ = run(capsys, command, str(path), *flags)
         assert code == 0
         assert out == (GOLDEN / f"example{example}_{command}.json").read_text()
+
+    @pytest.mark.parametrize("example, ops", [(1, EXAMPLE_SET_1), (2, EXAMPLE_SET_2)])
+    def test_exact_values_match_walk_counts(self, example, ops):
+        doc = json.loads((GOLDEN / f"example{example}_report.json").read_text())
+        bits = measured_support_bits(ops)
+        assert len(bits) == doc["support_size"]
+        checked = 0
+        for entry in doc["values"]:
+            expected = walk_count_frame_potential(bits, entry["t"])
+            assert abs(entry["exact"] - float(expected)) <= 1e-13 * float(expected)
+            checked += 1
+        assert checked == 2
 
 
 class TestExitCodes:
@@ -194,3 +243,27 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert flags[0] in captured.err
+
+    @pytest.mark.parametrize(
+        "content, line",
+        [
+            (b"\xff\xfeXX\n", 1),
+            (b"XX\r\nZZ\r\n\xc3(\n", 3),
+            (b"\xef\xbb\xbfXX\n\n\xffZ\n", 3),
+        ],
+        ids=["utf16-bom", "crlf", "after-bom"],
+    )
+    def test_non_utf8_input_is_parse_error(self, capsys, tmp_path, content, line):
+        path = tmp_path / "ops.txt"
+        path.write_bytes(content)
+        code, out, err = run(capsys, "check", str(path))
+        assert code == 2
+        assert out == ""
+        assert f"line {line}:" in err and "UTF-8" in err
+
+    def test_leading_bom_is_skipped(self, capsys, tmp_path):
+        path = tmp_path / "ops.txt"
+        path.write_bytes(b"\xef\xbb\xbfXX\nZZ\n")
+        code, out, _ = run(capsys, "check", str(path))
+        assert code == 0
+        assert json.loads(out)["N"] == 2

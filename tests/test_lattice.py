@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from pauliframe import (
+    PauliString,
     build_distribution,
     clt_coefficient,
     clt_frame_potential,
@@ -24,13 +27,42 @@ from pauliframe.lattice import (
 )
 from pauliframe.oracle import mc_frame_potential
 
-from conftest import random_commuting_set
+from conftest import random_commuting_set, walk_count_frame_potential
 
 
 def distribution_for(ops):
     diag = simultaneous_diagonalize(ops)
     sup = tableau_from_circuit(diag.circuit).extract_support()
     return build_distribution(diag, sup)
+
+
+def x_type_set(n: int, N: int, rng: np.random.Generator):
+    """N distinct nonzero X-type strings on n qubits (requires N < 2^n)."""
+    codes = rng.choice(np.arange(1, 2**n), size=N, replace=False)
+    rows = (codes[:, None] >> np.arange(n)) & 1
+    signs = rng.choice([1, -1], size=N)
+    return [PauliString(n, row, np.zeros(n, np.uint8), int(s)) for row, s in zip(rows, signs)]
+
+
+def degenerate_x_type_set(n: int, N: int, rng: np.random.Generator):
+    """X-type strings on n qubits plus one spare qubit, with degeneracies.
+
+    A zero x-row becomes a signed Z on the spare qubit (K_j is then a
+    constant), and some operators repeat an earlier one, possibly negated
+    (two equal x-rows).  Every pair commutes.
+    """
+    ops = []
+    for j in range(N):
+        if j and rng.random() < 0.3:
+            op = ops[int(rng.integers(j))]
+            ops.append(PauliString(n + 1, op.x, op.z, int(rng.choice([1, -1]))))
+            continue
+        x = np.append(rng.integers(0, 2, size=n), 0).astype(np.uint8)
+        z = np.zeros(n + 1, dtype=np.uint8)
+        if not x.any():
+            z[n] = 1
+        ops.append(PauliString(n + 1, x, z, int(rng.choice([1, -1]))))
+    return ops
 
 
 class TestHNF:
@@ -159,10 +191,53 @@ class TestExactFramePotential:
                 est, err = mc_frame_potential(ops, t, 200_000, seed=1000 + trial)
                 assert abs(est - ex) < max(3 * err, 1e-9)
 
+    def test_matches_integer_walk_counts(self):
+        rng = np.random.default_rng(1313)
+        cases = [
+            [parse_pauli("X")],
+            [parse_pauli("-Z")],  # point mass
+            [parse_pauli("ZZ"), parse_pauli("IZ")],
+            x_type_set(6, 6, rng),
+            x_type_set(5, 6, rng),
+        ]
+        for _ in range(12):
+            N = int(rng.integers(1, 7))
+            cases.append(random_commuting_set(int(rng.integers(1, 7)), N, rng))
+            cases.append(x_type_set(int(rng.integers(3, 7)), N, rng))
+            cases.append(degenerate_x_type_set(int(rng.integers(1, 5)), N, rng))
+        for ops in cases:
+            dist = distribution_for(ops)
+            bits = (1 - np.array(support_points(dist))) // 2
+            for t in sorted({1, int(rng.integers(2, 9)), 8}):
+                expected = walk_count_frame_potential(bits, t)
+                got = exact_frame_potential(dist, t)
+                assert abs(Fraction(got) - expected) <= 1e-12 * expected, (ops, t)
+
+    def test_memory_stays_below_one_grid_array(self):
+        # N = 6 at t = 12: the full grid is 13^6 points, 77 MB as complex128.
+        ops = [PauliString(6, x, np.zeros(6, np.uint8)) for x in np.eye(6, dtype=np.uint8)]
+        dist = distribution_for(ops)
+        tracemalloc.start()
+        try:
+            value = exact_frame_potential(dist, 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 13**6 * 16
+        # Six independent single-X coordinates: F = (C(24, 12) / 4^12)^6.
+        assert value == pytest.approx((math.comb(24, 12) / 4**12) ** 6, rel=1e-12)
+
     def test_quadrature_cap(self, example_ops_1):
         dist = distribution_for(example_ops_1)
-        with pytest.raises(QuadratureCapError):
-            exact_frame_potential(dist, 10**8)
+        tracemalloc.start()
+        try:
+            with pytest.raises(QuadratureCapError):
+                exact_frame_potential(dist, 10**8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The guard fires before any array is allocated.
+        assert peak < 1 << 20
 
     def test_bad_t(self, example_ops_1):
         dist = distribution_for(example_ops_1)

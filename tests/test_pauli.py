@@ -117,6 +117,26 @@ class TestCheckCommutingSet:
         with pytest.raises(ValueError):
             check_commuting_set([parse_pauli("X"), parse_pauli("XX")])
 
+    @given(st.integers(1, 6).flatmap(lambda n: st.lists(
+        st.text(alphabet="IXYZ", min_size=n, max_size=n), min_size=1, max_size=12
+    )))
+    def test_matches_pairwise_commutes(self, texts):
+        ops = [parse_pauli(t) for t in texts]
+        first = next(
+            ((i, j) for i, j in itertools.combinations(range(len(ops)), 2)
+             if not commutes(ops[i], ops[j])),
+            None,
+        )
+        assert check_commuting_set(ops) == first
+
+    def test_first_pair_past_the_first_row_block(self):
+        # 2100 operators are checked in several row blocks; the first
+        # anticommuting pair is (1200, 1800), in a later block.
+        texts = ["IZ"] * 2100
+        texts[1200], texts[1800] = "ZI", "XI"
+        ops = [parse_pauli(t) for t in texts]
+        assert check_commuting_set(ops) == (1200, 1800)
+
 
 class TestConjugate:
     def test_h_maps_x_to_z(self):
