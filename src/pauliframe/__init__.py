@@ -11,7 +11,6 @@ from .distribution import (
     MomentReport,
     SupportTooLargeError,
     build_distribution,
-    k_row,
     moments,
     support_points,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "conjugate_by_circuit",
     "exact_frame_potential",
     "format_pauli",
-    "k_row",
     "lattice_volume",
     "moments",
     "multiply",

@@ -13,6 +13,7 @@ as plain JSON numbers.  Output is byte-identical for identical
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import sys
@@ -20,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import lattice, oracle
+from . import gf2, lattice, oracle
 from .diagonalize import (
     NonCommutingSetError,
     simultaneous_diagonalize,
@@ -183,25 +184,16 @@ def run_verify(ops) -> list[str]:
             failures.append(f"operator {j}: dense diagonal disagrees with (A, s)")
     state = oracle.dense_state_from_circuit(diag.circuit)
     probs = oracle.amplitudes_squared(state)
-    dense_support = {x for x in range(2**n) if probs[x] > 1e-12}
-    coset = set()
-    for z in range(2**sup.r):
-        u = sup.t.copy()
-        for i in range(sup.r):
-            if (z >> i) & 1:
-                u = u ^ sup.R[:, i]
-        coset.add(oracle.bits_to_index(u))
-    if coset != dense_support:
+    dense_support = np.flatnonzero(probs > 1e-12)
+    coset = np.sort(oracle.bits_to_index(gf2.coset(sup.R.T, sup.t)))
+    if not np.array_equal(coset, dense_support):
         failures.append("tableau support coset differs from dense amplitude support")
     else:
-        for x in dense_support:
-            if abs(probs[x] - 2.0**-sup.r) > 1e-10:
-                failures.append(f"amplitude at {x} is not 2^-r")
-                break
+        off = dense_support[np.abs(probs[dense_support] - 2.0**-sup.r) > 1e-10]
+        if off.size:
+            failures.append(f"amplitude at {off[0]} is not 2^-r")
     brute = oracle.brute_pmf_K(ops, diag, state)
-    built = {
-        tuple(int(v) for v in p): dist.pmf_value for p in support_points(dist)
-    }
+    built = dict.fromkeys(map(tuple, support_points(dist).tolist()), dist.pmf_value)
     if brute != built:
         failures.append("brute-force pmf differs from the exact distribution")
     return failures
@@ -246,7 +238,9 @@ def _int_at_least(low: int):
     return parse
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parsing leaves it as is)."""
     parser = argparse.ArgumentParser(
         prog="pauliframe",
         description="Exact spectral distribution and frame potential of "
@@ -256,34 +250,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("input", help="file with one Pauli string per line")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument(
             "--format", choices=("json", "text"), default="json",
             help="output format",
         )
+        return p
 
-    p_report = sub.add_parser("report", help="full pipeline report")
-    add_common(p_report)
-    p_report.add_argument(
-        "--t", type=_int_at_least(1), action="append", default=None, metavar="T",
-        help="frame-potential order (repeatable)",
-    )
-    p_report.add_argument("--exact", action="store_true",
-                          help="also compute the exact frame potential")
-    p_report.add_argument("--mc-samples", type=_int_at_least(0), default=0,
-                          help="Monte-Carlo samples per t (0 disables)")
+    def add_frame_options(p):
+        p.add_argument(
+            "--t", type=_int_at_least(1), action="append", default=None, metavar="T",
+            help="frame-potential order (repeatable)",
+        )
+        p.add_argument("--exact", action="store_true",
+                       help="also compute the exact frame potential")
+        p.add_argument("--mc-samples", type=_int_at_least(0), default=0,
+                       help="Monte-Carlo samples per t (0 disables)")
+        p.add_argument("--seed", type=int, default=0, help="Monte-Carlo seed")
 
+    add_frame_options(add_common(sub.add_parser("report", help="full pipeline report")))
     add_common(sub.add_parser("check", help="commutation check only"))
     add_common(sub.add_parser("diagonalize", help="emit W, A, s"))
     add_common(sub.add_parser("distribution", help="emit the law of K"))
-
-    p_fp = sub.add_parser("frame-potential", help="emit V_U and F values")
-    add_common(p_fp)
-    p_fp.add_argument("--t", type=_int_at_least(1), action="append", default=None,
-                      metavar="T")
-    p_fp.add_argument("--exact", action="store_true")
-    p_fp.add_argument("--mc-samples", type=_int_at_least(0), default=0)
-
+    add_frame_options(
+        add_common(sub.add_parser("frame-potential", help="emit V_U and F values"))
+    )
     add_common(sub.add_parser("verify", help="run oracle cross-checks"))
     return parser
 

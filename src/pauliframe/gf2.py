@@ -63,6 +63,24 @@ def row_space_basis(m) -> np.ndarray:
     return r[: len(pivots)].copy()
 
 
+def coset(basis, offset) -> np.ndarray:
+    """offset XOR the span of the rows of ``basis``, as a (2**k, n) matrix.
+
+    Row m is offset XOR the basis rows at the set bits of m (binary
+    counting), built by doubling: rows [2**i, 2**(i+1)) are rows
+    [0, 2**i) XOR basis row i.
+    """
+    basis = as_bits(basis)
+    offset = as_bits(offset)
+    if basis.ndim != 2 or basis.shape[1] != offset.shape[0]:
+        raise ValueError(f"dimension mismatch: {basis.shape} vs {offset.shape}")
+    out = np.empty((2 ** basis.shape[0], offset.shape[0]), dtype=np.uint8)
+    out[0] = offset
+    for i, row in enumerate(basis):
+        np.bitwise_xor(out[: 2**i], row, out=out[2**i : 2 ** (i + 1)])
+    return out
+
+
 def mat_mul(a, b) -> np.ndarray:
     """Matrix product mod 2."""
     a = as_bits(a)

@@ -66,21 +66,22 @@ def _hnf_diagonal(rows: list[list[int]], n: int) -> list[int] | None:
     return diag
 
 
-def lattice_volume(support: list[np.ndarray]) -> int | None:
+def lattice_volume(points) -> int | None:
     """Covolume of the lattice generated by differences of support points.
 
-    Returns None when the lattice has rank < N (degenerate case, e.g. a
+    ``points`` holds one support point (entries +-1) per row; differences
+    are taken in its own dtype, which holds +-2 even as int8.  Returns
+    None when the lattice has rank < N (degenerate case, e.g. a
     point-mass law).
     """
-    if not support:
+    points = np.asarray(points)
+    if not len(points):
         raise ValueError("empty support")
-    n = len(support[0])
-    base = support[0]
-    rows = [[int(v) for v in p - base] for p in support[1:]]
-    rows = [r for r in rows if any(r)]
-    if not rows:
+    diffs = points[1:] - points[0]
+    diffs = diffs[diffs.any(axis=1)]
+    if not len(diffs):
         return None
-    diag = _hnf_diagonal(rows, n)
+    diag = _hnf_diagonal(diffs.tolist(), points.shape[1])
     if diag is None:
         return None
     return abs(math.prod(diag))
@@ -126,7 +127,7 @@ def exact_frame_potential(d: KDistribution, t: int) -> float:
         raise QuadratureCapError(
             f"grid of (t+1)^N = {total} points exceeds cap {GRID_CAP}"
         )
-    bits = (1 - np.array(support_points(d))) // 2  # M x N
+    bits = (1 - support_points(d)) // 2  # M x N
     if len(bits) == 1:
         return 1.0
     indicator = np.zeros((2,) + (n_grid,) * (d.N - 1))

@@ -79,16 +79,13 @@ def amplitudes_squared(state: np.ndarray) -> np.ndarray:
     return np.abs(state) ** 2
 
 
-def index_to_bits(x: int, n: int) -> np.ndarray:
-    """n-bit label of basis index x, qubit 0 first (MSB)."""
-    return np.array([(x >> (n - 1 - q)) & 1 for q in range(n)], dtype=np.uint8)
+def bits_to_index(u):
+    """Basis index of an n-bit label, qubit 0 first (MSB).
 
-
-def bits_to_index(u) -> int:
-    out = 0
-    for b in u:
-        out = (out << 1) | int(b)
-    return out
+    A matrix of labels, one per row, gives an array of indices.
+    """
+    u = np.asarray(u, dtype=np.int64)
+    return u @ (1 << np.arange(u.shape[-1] - 1, -1, -1, dtype=np.int64))
 
 
 def bits_matrix(n: int) -> np.ndarray:
@@ -217,13 +214,13 @@ def mc_frame_potential(
     t: int,
     samples: int,
     seed: int,
-    chunk: int = 1 << 14,
 ) -> tuple[float, float]:
     """Monte-Carlo estimate of the frame potential and its standard error.
 
     Uniform draws from [-pi, pi]^(2N) using a counter-based Philox stream
-    keyed by the seed, so results are reproducible and chunking-invariant
-    given the same chunk size.
+    keyed by the seed, so results are reproducible.  Samples are taken in
+    batches of min(2**14, 2**22 / 2**n), so a batch of states holds at most
+    2**22 amplitudes whatever n is.
     """
     if samples <= 0:
         raise ValueError("sample count must be positive")
@@ -234,9 +231,10 @@ def mc_frame_potential(
     num = len(ops)
     total = 0.0
     total_sq = 0.0
+    batch = min(1 << 14, (1 << 22) >> n)
     done = 0
     while done < samples:
-        b = min(chunk, samples - done)
+        b = min(batch, samples - done)
         draws = rng.uniform(-math.pi, math.pi, size=(b, 2 * num))
         s1 = _rotation_states(perms, draws[:, :num], n)
         s2 = _rotation_states(perms, draws[:, num:], n)

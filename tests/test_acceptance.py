@@ -14,6 +14,7 @@ from pauliframe import (
     clt_coefficient,
     clt_frame_potential,
     exact_frame_potential,
+    gf2,
     lattice_volume,
     moments,
     parse_pauli,
@@ -132,13 +133,7 @@ def test_criterion_4_oracle_equivalence_sweep():
         # tableau support equals the dense amplitude support
         probs = amplitudes_squared(state)
         dense_support = {x for x in range(2**n) if probs[x] > 1e-12}
-        coset = set()
-        for z in range(2**sup.r):
-            u = sup.t.copy()
-            for i in range(sup.r):
-                if (z >> i) & 1:
-                    u = u ^ sup.R[:, i]
-            coset.add(bits_to_index(u))
+        coset = set(bits_to_index(gf2.coset(sup.R.T, sup.t)).tolist())
         if coset != dense_support:
             failures.append(f"trial {trial}: support mismatch")
             continue

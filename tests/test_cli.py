@@ -244,6 +244,15 @@ class TestExitCodes:
         assert captured.out == ""
         assert flags[0] in captured.err
 
+    @pytest.mark.parametrize("command", ["verify", "check", "diagonalize", "distribution"])
+    def test_seed_only_where_it_is_read(self, capsys, example_file, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, example_file, "--seed", "1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--seed" in captured.err
+
     @pytest.mark.parametrize(
         "content, line",
         [

@@ -13,7 +13,7 @@ from pauliframe import (
     verify_diagonalization,
 )
 from pauliframe.diagonalize import DiagonalizedSet
-from pauliframe.oracle import dense_conjugation_check
+from pauliframe.oracle import bits_matrix, dense_conjugation_check
 
 from conftest import random_commuting_set
 
@@ -106,6 +106,7 @@ class TestVerifyDiagonalization:
 
     def test_dense_cross_check_worked_set(self, example_ops_1):
         result = simultaneous_diagonalize(example_ops_1)
+        labels = bits_matrix(example_ops_1[0].n)
         for j, op in enumerate(example_ops_1):
             m = dense_conjugation_check(op, result.circuit)
             off = m - np.diag(np.diag(m))
@@ -113,3 +114,6 @@ class TestVerifyDiagonalization:
             diag = np.diag(m)
             assert np.allclose(np.abs(diag.real), 1, atol=1e-10)
             assert np.abs(diag.imag).max() < 1e-10
+            # Entry x of the diagonal is (-1)^(s_j ^ A_j . x).
+            expected = 1 - 2 * ((labels @ result.A[j] + result.s[j]) % 2)
+            assert np.rint(diag.real).tolist() == expected.tolist()

@@ -6,14 +6,17 @@ import numpy as np
 import pytest
 
 from pauliframe import (
+    PauliString,
     build_distribution,
-    k_row,
+    gf2,
     moments,
+    multiply,
     parse_pauli,
     simultaneous_diagonalize,
     support_points,
     tableau_from_circuit,
 )
+from pauliframe import distribution
 from pauliframe.distribution import SupportTooLargeError
 from pauliframe.oracle import (
     amplitudes_squared,
@@ -33,31 +36,25 @@ def analyze(ops):
 
 
 class TestKRow:
-    def test_all_zero_exponent(self):
-        A = np.zeros((3, 2), dtype=np.uint8)
-        out = k_row(A, np.zeros(3, dtype=np.uint8), np.zeros(2, dtype=np.uint8))
-        assert out.tolist() == [1, 1, 1]
-
-    def test_single_z_on_one(self):
-        out = k_row(np.array([[1]], dtype=np.uint8), np.array([0], dtype=np.uint8),
-                    np.array([1], dtype=np.uint8))
-        assert out.tolist() == [-1]
-
     def test_matches_dense_diagonal_worked_set(self, example_ops_1):
+        # The K row at basis label x is (-1)^(s ^ A x); it must equal the
+        # dense diagonal of W H_j W^dagger, and the rows at the labels the
+        # state occupies must be exactly the support points of the law.
         diag, sup, dist = analyze(example_ops_1)
         wm = unitary_from_circuit(diag.circuit)
         dense_rows = np.stack(
             [dense_diagonal(op, diag.circuit, wm) for op in example_ops_1]
         )
         n = example_ops_1[0].n
+        probs = amplitudes_squared(dense_state_from_circuit(diag.circuit))
+        occupied = set()
         for x in range(2**n):
             u = np.array([(x >> (n - 1 - q)) & 1 for q in range(n)], dtype=np.uint8)
-            assert k_row(diag.A, diag.s, u).tolist() == dense_rows[:, x].tolist()
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            k_row(np.zeros((2, 2), dtype=np.uint8), np.zeros(2, dtype=np.uint8),
-                  np.zeros(3, dtype=np.uint8))
+            row = 1 - 2 * ((diag.A.astype(np.int64) @ u + diag.s) % 2)
+            assert row.tolist() == dense_rows[:, x].tolist()
+            if probs[x] > 1e-12:
+                occupied.add(tuple(int(v) for v in row))
+        assert occupied == {tuple(int(v) for v in p) for p in support_points(dist)}
 
 
 class TestBuildDistribution:
@@ -89,6 +86,45 @@ class TestBuildDistribution:
             assert brute == built
 
 
+def left_kernel(X):
+    """Basis of {S : S X = 0} over GF(2), one vector per row."""
+    N, n = X.shape
+    red, pivots = gf2.rref(np.concatenate([X, np.eye(N, dtype=np.uint8)], axis=1))
+    rank = sum(1 for c in pivots if c < n)
+    return red[rank:, n:]
+
+
+class TestThreeEngines:
+    def test_direct_law_matches_w_and_dense_oracle(self):
+        # The law of K read from the X-block of the input (code and
+        # left-kernel parities) must equal the one built through W and
+        # the tableau, and the dense oracle's tally.
+        rng = np.random.default_rng(606)
+        with_kernel = 0
+        for _ in range(150):
+            n = int(rng.integers(1, 8))
+            ops = random_commuting_set(n, int(rng.integers(1, 8)), rng)
+            for _ in range(int(rng.integers(0, 3))):
+                op = ops[int(rng.integers(len(ops)))]
+                ops.append(PauliString(n, op.x, op.z, int(rng.choice([1, -1]))))
+            diag, sup, dist = analyze(ops)
+            X = np.stack([op.x for op in ops])
+            assert np.array_equal(dist.basis, gf2.row_space_basis(X.T))
+            kernel = left_kernel(X)
+            with_kernel += len(kernel) > 0
+            for S in kernel:
+                members = [ops[j] for j in np.flatnonzero(S)]
+                prod = members[0]
+                for op in members[1:]:
+                    prod = multiply(prod, op)
+                assert not prod.x.any()
+                assert int(dist.b0[S == 1].sum()) % 2 == (prod.sign == -1)
+            brute = brute_pmf_K(ops, diag, dense_state_from_circuit(diag.circuit))
+            built = dict.fromkeys(map(tuple, support_points(dist).tolist()), dist.pmf_value)
+            assert brute == built
+        assert with_kernel > 100  # sets with a parity constraint on b0
+
+
 class TestSupportPoints:
     def test_worked_example_16_points(self, example_ops_1):
         _, _, dist = analyze(example_ops_1)
@@ -109,10 +145,11 @@ class TestSupportPoints:
         pts = {tuple(int(v) for v in p) for p in support_points(dist)}
         assert pts == {(1,), (-1,)}
 
-    def test_cap_exceeded(self, example_ops_1):
+    def test_cap_exceeded(self, example_ops_1, monkeypatch):
         _, _, dist = analyze(example_ops_1)
+        monkeypatch.setattr(distribution, "ENUMERATION_CAP", 3)
         with pytest.raises(SupportTooLargeError):
-            support_points(dist, cap=3)
+            support_points(dist)
 
 
 class TestMoments:
@@ -145,7 +182,7 @@ class TestMoments:
             ops = random_commuting_set(n, N, rng)
             _, _, dist = analyze(ops)
             mom = moments(dist)
-            pts = np.stack(support_points(dist))
+            pts = support_points(dist).astype(np.int64)
             mean = pts.mean(axis=0)
             cov = (pts.T @ pts) / len(pts) - np.outer(mean, mean)
             assert np.allclose(mom.mean, mean)

@@ -123,3 +123,29 @@ class TestInRowSpan:
         )
         # v in row span of M  <=>  M^T y = v has a solution
         assert gf2.in_row_span(m, v) == (gf2.solve(m.T, v) is not None)
+
+
+class TestCoset:
+    @given(small_matrices, st.data())
+    def test_binary_counting_order(self, m, data):
+        offset = np.array(
+            data.draw(st.lists(st.integers(0, 1), min_size=m.shape[1], max_size=m.shape[1])),
+            dtype=np.uint8,
+        )
+        out = gf2.coset(m, offset)
+        assert out.shape == (2 ** m.shape[0], m.shape[1])
+        for k, row in enumerate(out):
+            expected = offset.copy()
+            for i in range(m.shape[0]):
+                if (k >> i) & 1:
+                    expected ^= m[i]
+            assert row.tolist() == expected.tolist()
+
+    def test_empty_basis_is_the_offset(self):
+        offset = np.array([1, 0, 1], dtype=np.uint8)
+        out = gf2.coset(np.zeros((0, 3), dtype=np.uint8), offset)
+        assert out.tolist() == [[1, 0, 1]]
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError):
+            gf2.coset(np.zeros((2, 3), dtype=np.uint8), np.zeros(2, dtype=np.uint8))

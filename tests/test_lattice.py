@@ -100,7 +100,7 @@ class TestLatticeVolume:
         dist = distribution_for(example_ops_1)
         pts = support_points(dist)
         for shift in (1, 5, 11):
-            rotated = pts[shift:] + pts[:shift]
+            rotated = np.roll(pts, -shift, axis=0)
             assert lattice_volume(rotated) == 64
 
     def test_invariant_under_operator_permutation(self):

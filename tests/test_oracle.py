@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -168,3 +169,17 @@ class TestMonteCarlo:
     def test_zero_samples(self):
         with pytest.raises(ValueError):
             mc_frame_potential([parse_pauli("X")], 1, 0, seed=0)
+
+    def test_batch_memory_bounded_at_max_qubits(self):
+        # At n = 10 a batch holds 2**22 amplitudes (64 MiB of complex128);
+        # the two state batches and one rotation step's temporaries stay
+        # under eight of those.  A 2**13-sample batch would need twice that.
+        ops = [parse_pauli("X" + "I" * (MAX_QUBITS - 1))]
+        tracemalloc.start()
+        try:
+            est, err = mc_frame_potential(ops, 1, 1 << 13, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (1 << 22) * 16
+        assert abs(est - 1 / 2) < 3 * err  # F(1) = E cos^2 = 1/2

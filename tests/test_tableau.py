@@ -16,15 +16,7 @@ from conftest import random_clifford_circuit
 
 def coset_indices(R, t):
     """All basis indices {R z + t} as a set of ints."""
-    n, r = R.shape
-    out = set()
-    for z in range(2**r):
-        u = t.copy()
-        for i in range(r):
-            if (z >> i) & 1:
-                u = u ^ R[:, i]
-        out.add(bits_to_index(u))
-    return out
+    return set(bits_to_index(gf2.coset(R.T, t)).tolist())
 
 
 class TestConstruction:
