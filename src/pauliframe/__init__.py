@@ -2,7 +2,6 @@
 
 from .diagonalize import (
     DiagonalizedSet,
-    NonCommutingSetError,
     simultaneous_diagonalize,
     verify_diagonalization,
 )
@@ -25,6 +24,7 @@ from .lattice import (
 from .pauli import (
     CliffordCircuit,
     CliffordGate,
+    NonCommutingSetError,
     PauliParseError,
     PauliString,
     check_commuting_set,
@@ -35,7 +35,7 @@ from .pauli import (
     multiply,
     parse_pauli,
 )
-from .tableau import StabilizerTableau, SupportDescriptor, tableau_from_circuit
+from .tableau import SupportDescriptor
 
 __all__ = [
     "CliffordCircuit",
@@ -48,7 +48,6 @@ __all__ = [
     "PauliParseError",
     "PauliString",
     "QuadratureCapError",
-    "StabilizerTableau",
     "SupportDescriptor",
     "SupportTooLargeError",
     "build_distribution",
@@ -66,7 +65,6 @@ __all__ = [
     "parse_pauli",
     "simultaneous_diagonalize",
     "support_points",
-    "tableau_from_circuit",
     "verify_diagonalization",
 ]
 

@@ -22,19 +22,19 @@ from fractions import Fraction
 import numpy as np
 
 from . import gf2, lattice, oracle
-from .diagonalize import (
-    NonCommutingSetError,
-    simultaneous_diagonalize,
-    verify_diagonalization,
-)
+from .diagonalize import simultaneous_diagonalize, verify_diagonalization
 from .distribution import (
     SupportTooLargeError,
     build_distribution,
     moments,
     support_points,
 )
-from .pauli import PauliParseError, check_commuting_set, parse_pauli
-from .tableau import tableau_from_circuit
+from .pauli import (
+    NonCommutingSetError,
+    PauliParseError,
+    check_commuting_set,
+    parse_pauli,
+)
 
 EXIT_PARSE = 2
 EXIT_NONCOMMUTING = 3
@@ -98,53 +98,38 @@ def _gate_json(gate) -> dict:
     return {"g": gate.name, "c": gate.qubits[0], "t": gate.qubits[1]}
 
 
-def _analyze(ops):
-    """Common pipeline: diagonalize, tableau, distribution, moments."""
-    diag = simultaneous_diagonalize(ops)
-    tab = tableau_from_circuit(diag.circuit)
-    sup = tab.extract_support()
-    dist = build_distribution(diag, sup)
-    mom = moments(dist)
-    return diag, sup, dist, mom
-
-
-def run_report(
-    ops,
-    t_values=(),
-    exact=False,
-    mc_samples=0,
-    seed=0,
-) -> dict:
-    """Full analysis as one JSON-ready document."""
-    diag, sup, dist, mom = _analyze(ops)
-    pts = support_points(dist)
-    vol = lattice.lattice_volume(pts)
-    degenerate = vol is None or mom.det_cov == 0
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "n": ops[0].n,
-        "N": len(ops),
-        "commuting": True,
+def _circuit_fields(diag) -> dict:
+    """The circuit W and the diagonal encodings (A, s)."""
+    return {
         "W": [_gate_json(g) for g in diag.circuit.gates],
         "A": [_bitstring(row) for row in diag.A],
         "s": _bitstring(diag.s),
-        "R": [_bitstring(col) for col in sup.R.T],
-        "t_vec": _bitstring(sup.t),
-        "r": sup.r,
+    }
+
+
+def _support_fields(diag) -> dict:
+    """The support {R z + t} of W|0...0>."""
+    sup = diag.support
+    return {"R": [_bitstring(col) for col in sup.R.T], "t_vec": _bitstring(sup.t), "r": sup.r}
+
+
+def _law_fields(dist, mom) -> dict:
+    """The law of K and its moments."""
+    return {
         "rank_AR": dist.rho,
         "support_size": dist.support_size,
         "pmf_value": _rational(dist.pmf_value),
         "mean": [_rational(int(v)) for v in mom.mean],
         "covariance": [[_rational(int(v)) for v in row] for row in mom.covariance],
         "det_cov": _rational(mom.det_cov),
-        "V_U": "degenerate" if degenerate else vol,
-        "clt_coefficient": (
-            None
-            if degenerate
-            else lattice.clt_coefficient(vol, mom.det_cov, dist.N)
-        ),
-        "values": [],
     }
+
+
+def _frame_fields(ops, dist, mom, t_values, exact, mc_samples, seed) -> dict:
+    """V_U, the CLT coefficient and the frame-potential values."""
+    vol = lattice.lattice_volume(support_points(dist))
+    degenerate = vol is None or mom.det_cov == 0
+    values = []
     for t in t_values:
         entry = {"t": t}
         entry["clt"] = (
@@ -158,19 +143,34 @@ def run_report(
             est, err = oracle.mc_frame_potential(ops, t, mc_samples, seed)
             entry["mc"] = est
             entry["mc_stderr"] = err
-        doc["values"].append(entry)
-    return doc
+        values.append(entry)
+    return {
+        "V_U": "degenerate" if degenerate else vol,
+        "clt_coefficient": (
+            None
+            if degenerate
+            else lattice.clt_coefficient(vol, mom.det_cov, dist.N)
+        ),
+        "values": values,
+    }
 
 
 def run_verify(ops) -> list[str]:
-    """Oracle cross-checks; returns the list of failure descriptions."""
+    """Oracle cross-checks; returns the list of failure descriptions.
+
+    The dense unitary of W and the N dense diagonals are built once and
+    serve both the per-operator check and the pmf tally.
+    """
     failures = []
-    diag, sup, dist, mom = _analyze(ops)
+    dist = build_distribution(ops)
+    diag = simultaneous_diagonalize(ops)
+    sup = diag.support
     n = ops[0].n
     wm = oracle.unitary_from_circuit(diag.circuit)
     ok, bad = verify_diagonalization(ops, diag)
     if not ok:
         failures.append(f"symplectic diagonalization check failed at operator {bad}")
+    diagonals = []
     for j, op in enumerate(ops):
         try:
             dd = oracle.dense_diagonal(op, diag.circuit, wm)
@@ -182,6 +182,7 @@ def run_verify(ops) -> list[str]:
         )
         if not np.array_equal(dd, expected):
             failures.append(f"operator {j}: dense diagonal disagrees with (A, s)")
+        diagonals.append(dd)
     state = oracle.dense_state_from_circuit(diag.circuit)
     probs = oracle.amplitudes_squared(state)
     dense_support = np.flatnonzero(probs > 1e-12)
@@ -192,10 +193,11 @@ def run_verify(ops) -> list[str]:
         off = dense_support[np.abs(probs[dense_support] - 2.0**-sup.r) > 1e-10]
         if off.size:
             failures.append(f"amplitude at {off[0]} is not 2^-r")
-    brute = oracle.brute_pmf_K(ops, diag, state)
-    built = dict.fromkeys(map(tuple, support_points(dist).tolist()), dist.pmf_value)
-    if brute != built:
-        failures.append("brute-force pmf differs from the exact distribution")
+    if len(diagonals) == len(ops):
+        brute = oracle.brute_pmf_K(np.stack(diagonals), state)
+        built = dict.fromkeys(map(tuple, support_points(dist).tolist()), dist.pmf_value)
+        if brute != built:
+            failures.append("brute-force pmf differs from the exact distribution")
     return failures
 
 
@@ -293,15 +295,10 @@ def main(argv=None) -> int:
         return EXIT_PARSE
 
     try:
+        head = {"schema": SCHEMA_VERSION, "n": ops[0].n, "N": len(ops)}
         if args.command == "check":
             bad = check_commuting_set(ops)
-            doc = {
-                "schema": SCHEMA_VERSION,
-                "n": ops[0].n,
-                "N": len(ops),
-                "commuting": bad is None,
-                "violating_pair": list(bad) if bad else None,
-            }
+            doc = {**head, "commuting": bad is None, "violating_pair": list(bad) if bad else None}
             _emit(doc, as_json)
             return 0 if bad is None else EXIT_NONCOMMUTING
 
@@ -310,66 +307,31 @@ def main(argv=None) -> int:
                 print("verify requires the dense oracle (n <= 10)", file=sys.stderr)
                 return EXIT_GUARD
             failures = run_verify(ops)
-            doc = {
-                "schema": SCHEMA_VERSION,
-                "n": ops[0].n,
-                "N": len(ops),
-                "passed": not failures,
-                "failures": failures,
-            }
-            _emit(doc, as_json)
+            _emit({**head, "passed": not failures, "failures": failures}, as_json)
             return 0 if not failures else 1
 
         if args.command == "diagonalize":
-            diag = simultaneous_diagonalize(ops)
-            doc = {
-                "schema": SCHEMA_VERSION,
-                "n": ops[0].n,
-                "N": len(ops),
-                "W": [_gate_json(g) for g in diag.circuit.gates],
-                "A": [_bitstring(row) for row in diag.A],
-                "s": _bitstring(diag.s),
-            }
-            _emit(doc, as_json)
+            _emit({**head, **_circuit_fields(simultaneous_diagonalize(ops))}, as_json)
             return 0
 
+        # distribution, report and frame-potential read the law of K from
+        # the input rows; only distribution and report synthesize W.
+        dist = build_distribution(ops)
+        mom = moments(dist)
         if args.command == "distribution":
-            diag, sup, dist, mom = _analyze(ops)
-            doc = {
-                "schema": SCHEMA_VERSION,
-                "n": ops[0].n,
-                "N": len(ops),
-                "R": [_bitstring(col) for col in sup.R.T],
-                "t_vec": _bitstring(sup.t),
-                "r": sup.r,
-                "rank_AR": dist.rho,
-                "support_size": dist.support_size,
-                "pmf_value": _rational(dist.pmf_value),
-                "mean": [_rational(int(v)) for v in mom.mean],
-                "covariance": [
-                    [_rational(int(v)) for v in row] for row in mom.covariance
-                ],
-                "det_cov": _rational(mom.det_cov),
-                "degenerate": mom.degenerate,
-            }
-            _emit(doc, as_json)
-            return 0
-
-        # report / frame-potential share the full pipeline.
-        t_values = args.t if args.t else [1]
-        doc = run_report(
-            ops,
-            t_values=t_values,
-            exact=args.exact,
-            mc_samples=args.mc_samples,
-            seed=args.seed,
-        )
-        if args.command == "frame-potential":
-            keep = (
-                "schema", "n", "N", "support_size", "det_cov",
-                "V_U", "clt_coefficient", "values",
-            )
-            doc = {k: doc[k] for k in keep}
+            diag = simultaneous_diagonalize(ops)
+            doc = {**head, **_support_fields(diag), **_law_fields(dist, mom),
+                   "degenerate": mom.degenerate}
+        else:
+            frame = _frame_fields(ops, dist, mom, args.t or [1], args.exact,
+                                  args.mc_samples, args.seed)
+            if args.command == "report":
+                diag = simultaneous_diagonalize(ops)
+                doc = {**head, "commuting": True, **_circuit_fields(diag),
+                       **_support_fields(diag), **_law_fields(dist, mom), **frame}
+            else:
+                doc = {**head, "support_size": dist.support_size,
+                       "det_cov": _rational(mom.det_cov), **frame}
         _emit(doc, as_json)
         return 0
 

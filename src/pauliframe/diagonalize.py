@@ -11,6 +11,12 @@ CZ/S clear the z row), after which H(q) turns it into +-Z_q.  Because the
 generators stay mutually commuting throughout, a generator equal to X_q
 forces x_q = z_q = 0 on every other generator, so the Hadamard never
 disturbs already-diagonal rows.
+
+The stabilizers Z_1..Z_n of |0...0> ride along in the same bit matrix,
+so they end as the stabilizers of W|0...0>, whose support (R, t, r) is
+read from them by ``tableau.extract_support``.  W is a deliverable and a
+cross-check: the law of K itself is read from the input rows
+(``distribution.build_distribution``) without it.
 """
 
 from __future__ import annotations
@@ -20,24 +26,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf2
-from .pauli import (
+from .pauli import (  # noqa: F401  (multiply stays bound: bench/test_bench.py deletes it here)
     CliffordCircuit,
     CliffordGate,
+    NonCommutingSetError,
     PauliString,
     check_commuting_set,
     conjugate_rows,
     multiply,
+    multiply_rows,
     pauli_rows,
-    row_pauli,
 )
-
-
-class NonCommutingSetError(ValueError):
-    """Input operators do not pairwise commute."""
-
-    def __init__(self, pair: tuple[int, int]):
-        self.pair = pair
-        super().__init__(f"operators {pair[0]} and {pair[1]} anticommute")
+from .tableau import SupportDescriptor, extract_support
 
 
 @dataclass(frozen=True)
@@ -45,20 +45,22 @@ class DiagonalizedSet:
     """Circuit W plus the diagonal encodings of the conjugated set.
 
     Row j of A is the Z-mask of W H_j W†; s_j is 1 iff that string
-    carries sign -1.
+    carries sign -1.  ``support`` is the support of W|0...0>.
     """
 
     circuit: CliffordCircuit
     A: np.ndarray  # N x n
     s: np.ndarray  # length N
+    support: SupportDescriptor
 
 
 def simultaneous_diagonalize(ops: list[PauliString]) -> DiagonalizedSet:
     """Build W, A, s for a pairwise-commuting set without identities.
 
-    The N inputs and the independent generators are rows of one bit
-    matrix, so every synthesized gate updates all of them at once and A,
-    s are the final z-block and sign column of the input rows.
+    The N inputs, the independent generators and the n stabilizers of
+    |0...0> are rows of one bit matrix, so every synthesized gate updates
+    all of them at once; A, s are the final z-block and sign column of
+    the input rows.
     """
     if not ops:
         raise ValueError("empty operator list")
@@ -75,25 +77,27 @@ def simultaneous_diagonalize(ops: list[PauliString]) -> DiagonalizedSet:
     # The first operators that raise the rank: pivot columns of the
     # symplectic matrix with one operator per column.
     _, independent = gf2.rref(np.concatenate([x, z], axis=1).T)
-    x, z, r = (np.concatenate([a, a[independent]]) for a in (x, z, r))
+    stab = N + len(independent)
+    zero = np.zeros((n, n), dtype=np.uint8)
+    x = np.concatenate([x, x[independent], zero])
+    z = np.concatenate([z, z[independent], np.eye(n, dtype=np.uint8)])
+    r = np.concatenate([r, r[independent], zero[0]])
     gates: list[CliffordGate] = []
 
     def apply(gate: CliffordGate) -> None:
         gates.append(gate)
         conjugate_rows(x, z, r, gate)
 
-    todo = list(range(N, N + len(independent)))
+    todo = list(range(N, stab))
     for q in range(n):
-        pivot = next((k for k in todo if x[k, q]), None)
-        if pivot is None:
+        hits = [k for k in todo if x[k, q]]
+        if not hits:
             continue
+        pivot = hits[0]
         todo.remove(pivot)
         # Clear column q of the x block in the other open generators by
         # row products (the set stays a generating set of the same group).
-        for k in todo:
-            if x[k, q]:
-                prod = multiply(row_pauli(x, z, r, k), row_pauli(x, z, r, pivot))
-                x[k], z[k], r[k] = prod.x, prod.z, prod.sign < 0
+        multiply_rows(x, z, r, hits[1:], pivot)
         # Reduce the pivot generator to exactly +-X_q.
         for q2 in np.flatnonzero(x[pivot]):
             if q2 != q:
@@ -108,9 +112,12 @@ def simultaneous_diagonalize(ops: list[PauliString]) -> DiagonalizedSet:
         # so H(q) only acts on the pivot.
         apply(CliffordGate.h(q))
 
-    assert not x.any(), "elimination left an X component"
+    assert not x[:stab].any(), "elimination left an X component"
     return DiagonalizedSet(
-        circuit=CliffordCircuit(n, tuple(gates)), A=z[:N].copy(), s=r[:N].copy()
+        circuit=CliffordCircuit(n, tuple(gates)),
+        A=z[:N].copy(),
+        s=r[:N].copy(),
+        support=extract_support(x[stab:], z[stab:], r[stab:]),
     )
 
 

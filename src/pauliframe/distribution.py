@@ -1,11 +1,14 @@
-"""Exact law of the spectral random variable K.
+"""Exact law of the spectral random variable K, read from the input rows.
 
-K is uniform on the coset b0 + span(basis) of GF(2)^N, lifted to
-{-1, 1}^N by b -> (-1)^b.  ``basis`` is the reduced echelon basis of the
-column space of A R, where A is the N x n matrix of Z-masks and (R, t)
-the support descriptor of the base stabilizer state; b0 = A t ^ s with s
-the sign bits.  All probabilities are dyadic and kept as Fractions;
-moments are small integers.
+K is the joint outcome of measuring the commuting H_j on |0...0>; the
+diagonal D_j = W H_j W† measured on W|0...0> gives the same law, since
+W† D_j W = H_j.  It is uniform on the coset b0 + span(basis) of GF(2)^N,
+lifted to {-1, 1}^N by b -> (-1)^b: ``basis`` is the reduced echelon
+basis of the column space of the N x n X block, and b0 comes from one
+X-block elimination of the signed input rows
+(``tableau.reduce_x_block``).  No circuit is synthesized.  All
+probabilities are dyadic and kept as Fractions; moments are small
+integers.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import gf2
-from .diagonalize import DiagonalizedSet
-from .tableau import SupportDescriptor
+from .pauli import NonCommutingSetError, PauliString, check_commuting_set, pauli_rows
+from .tableau import reduce_x_block
 
 ENUMERATION_CAP = 20
 
@@ -31,7 +34,7 @@ class KDistribution:
     """The law of K: uniform on the coset b0 + span(rows of basis)."""
 
     b0: np.ndarray  # length N
-    basis: np.ndarray  # rho x N, reduced echelon basis of the column space of A R
+    basis: np.ndarray  # rho x N, reduced echelon basis of the column space of X
 
     @property
     def N(self) -> int:
@@ -39,7 +42,7 @@ class KDistribution:
 
     @property
     def rho(self) -> int:
-        """rank(A R); the support size is 2**rho."""
+        """rank(X); the support size is 2**rho."""
         return self.basis.shape[0]
 
     @property
@@ -61,17 +64,22 @@ class MomentReport:
     degenerate: bool
 
 
-def build_distribution(
-    diag: DiagonalizedSet, sup: SupportDescriptor
-) -> KDistribution:
-    """Combine the diagonal encodings with the support descriptor."""
-    A = gf2.as_bits(diag.A)
-    R = gf2.as_bits(sup.R)
-    t = gf2.as_bits(sup.t)
-    if A.shape[1] != R.shape[0] or A.shape[1] != t.shape[0]:
-        raise ValueError("qubit-count mismatch between diagonalization and support")
-    basis = gf2.row_space_basis(gf2.mat_mul(A, R).T)
-    return KDistribution(b0=gf2.mat_vec(A, t) ^ gf2.as_bits(diag.s), basis=basis)
+def build_distribution(ops: list[PauliString]) -> KDistribution:
+    """The law of K for a pairwise-commuting set, from its rows alone.
+
+    The outcomes of the pivot rows of ``reduce_x_block`` (rows with
+    independent X parts) are free; each other row ends as +-Z^z, the
+    product of its operator and pivot operators, whose value on |0...0>
+    is its sign.  So b0 is that final sign bit at the other rows and 0
+    at the pivots, and the free directions span the column space of X.
+    """
+    bad = check_commuting_set(ops)
+    if bad is not None:
+        raise NonCommutingSetError(bad)
+    x, z, r = pauli_rows(ops)
+    basis = gf2.row_space_basis(x.T)
+    r[reduce_x_block(x, z, r)] = 0
+    return KDistribution(b0=r, basis=basis)
 
 
 def support_points(d: KDistribution) -> np.ndarray:
@@ -93,7 +101,7 @@ def moments(d: KDistribution) -> MomentReport:
     Under the uniform-on-coset law, E K_j is (-1)^(b0_j) when column j
     of the basis is zero and 0 otherwise; E K_i K_j is (-1)^(b0_i ^ b0_j)
     when columns i and j are equal and 0 otherwise.  Columns of the
-    basis are zero or equal exactly where the rows of A R are.
+    basis are zero or equal exactly where the rows of X are.
     """
     cols = d.basis.T
     signs = 1 - 2 * d.b0.astype(np.int64)

@@ -39,9 +39,9 @@ def rref(m) -> tuple[np.ndarray, list[int]]:
         if src != pivot_row:
             r[[pivot_row, src]] = r[[src, pivot_row]]
         # Eliminate above and below (reduced form).
-        for i in range(rows):
-            if i != pivot_row and r[i, col]:
-                r[i] ^= r[pivot_row]
+        mask = r[:, col] == 1
+        mask[pivot_row] = False
+        r[mask] ^= r[pivot_row]
         pivot_cols.append(col)
         pivot_row += 1
     return r, pivot_cols

@@ -15,7 +15,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .diagonalize import DiagonalizedSet
 from .pauli import CliffordCircuit, PauliString
 
 MAX_QUBITS = 10
@@ -147,29 +146,27 @@ def dense_diagonal(op: PauliString, w: CliffordCircuit, wm=None) -> np.ndarray:
 
 
 def brute_pmf_K(
-    ops: list[PauliString], diag: DiagonalizedSet, state: np.ndarray
+    diagonals: np.ndarray, state: np.ndarray
 ) -> dict[tuple[int, ...], Fraction]:
     """pmf of K by direct tally, independent of the A-matrix path.
 
-    Eigenvalue rows come from dense conjugation of each operator; weights
-    are the dense amplitudes of the base state, rationalized (they are
-    dyadic with denominator dividing 2**n for a stabilizer state).
+    Row j of ``diagonals`` is the dense diagonal of W H_j W† (from
+    ``dense_diagonal``) and ``state`` is W|0...0>; each basis label
+    contributes its column of eigenvalues with the dense weight,
+    rationalized (weights are dyadic with denominator dividing 2**n for
+    a stabilizer state).
     """
-    n = ops[0].n
-    _check_guard(n)
-    wm = unitary_from_circuit(diag.circuit)
-    rows = np.stack([dense_diagonal(op, diag.circuit, wm) for op in ops])  # N x 2^n
     weights = amplitudes_squared(state)
     pmf: dict[tuple[int, ...], Fraction] = {}
-    denom = 2**n
-    for x in range(2**n):
+    denom = len(weights)
+    for x in range(denom):
         scaled = weights[x] * denom
         num = round(scaled)
         if abs(scaled - num) > 1e-8:
             raise ValueError(f"amplitude at {x} is not dyadic: {weights[x]}")
         if num == 0:
             continue
-        key = tuple(int(v) for v in rows[:, x])
+        key = tuple(int(v) for v in diagonals[:, x])
         pmf[key] = pmf.get(key, Fraction(0)) + Fraction(num, denom)
     return pmf
 
@@ -182,16 +179,19 @@ def _rotation_states(
     """prod_j exp(i theta_j H_j) |0...0> for a batch of parameter vectors.
 
     thetas has shape (batch, N); returns states of shape (2**n, batch).
+    Each step updates the state in place next to one batch-sized array:
+    H_j v is gathered through ``targets``, which is x -> x ^ (x mask) and
+    so its own inverse.
     """
     batch = thetas.shape[0]
     state = np.zeros((2**n, batch), dtype=np.complex128)
     state[0] = 1.0
     for j, (targets, phases) in enumerate(perms):
-        hv = np.empty_like(state)
-        hv[targets] = phases[:, None] * state
-        c = np.cos(thetas[:, j])
-        s = np.sin(thetas[:, j])
-        state = c * state + 1j * s * hv
+        hv = state[targets]
+        hv *= phases[targets][:, None]
+        hv *= 1j * np.sin(thetas[:, j])
+        state *= np.cos(thetas[:, j])
+        state += hv
     return state
 
 
@@ -238,7 +238,9 @@ def mc_frame_potential(
         draws = rng.uniform(-math.pi, math.pi, size=(b, 2 * num))
         s1 = _rotation_states(perms, draws[:, :num], n)
         s2 = _rotation_states(perms, draws[:, num:], n)
-        overlap = np.abs(np.sum(s1.conj() * s2, axis=0)) ** 2
+        np.conjugate(s1, out=s1)
+        s1 *= s2
+        overlap = np.abs(np.sum(s1, axis=0)) ** 2
         vals = overlap**t
         total += math.fsum(vals.tolist())
         total_sq += math.fsum((vals**2).tolist())

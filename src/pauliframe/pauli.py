@@ -25,6 +25,14 @@ class PauliParseError(ValueError):
     """Raised when a Pauli string literal cannot be parsed."""
 
 
+class NonCommutingSetError(ValueError):
+    """Input operators do not pairwise commute."""
+
+    def __init__(self, pair: tuple[int, int]):
+        self.pair = pair
+        super().__init__(f"operators {pair[0]} and {pair[1]} anticommute")
+
+
 @dataclass(frozen=True, eq=False)
 class PauliString:
     """Signed n-qubit Pauli operator."""
@@ -150,19 +158,9 @@ def multiply(p: PauliString, q: PauliString) -> PauliString:
     """
     if p.n != q.n:
         raise ValueError(f"size mismatch: {p.n} vs {q.n}")
-    # Exponent of i per qubit, standard mod-4 bookkeeping.
-    x1, z1 = p.x.astype(np.int64), p.z.astype(np.int64)
-    x2, z2 = q.x.astype(np.int64), q.z.astype(np.int64)
-    g = (
-        x1 * z1 * (z2 - x2)
-        + x1 * (1 - z1) * z2 * (2 * x2 - 1)
-        + (1 - x1) * z1 * x2 * (1 - 2 * z2)
-    )
-    phase = int(g.sum()) % 4
-    if phase % 2 != 0:
-        raise ValueError("product has imaginary phase (operators anticommute)")
-    sign = p.sign * q.sign * (1 if phase == 0 else -1)
-    return PauliString(p.n, p.x ^ q.x, p.z ^ q.z, sign)
+    x, z, r = pauli_rows([p, q])
+    multiply_rows(x, z, r, [0], 1)
+    return row_pauli(x, z, r, 0)
 
 
 @dataclass(frozen=True)
@@ -237,6 +235,31 @@ def pauli_rows(ops: list[PauliString]) -> tuple[np.ndarray, np.ndarray, np.ndarr
 def row_pauli(x: np.ndarray, z: np.ndarray, r: np.ndarray, k: int) -> PauliString:
     """Row k of (x, z, sign-bit) row arrays as a PauliString."""
     return PauliString(x.shape[1], x[k], z[k], -1 if r[k] else 1)
+
+
+def multiply_rows(
+    x: np.ndarray, z: np.ndarray, r: np.ndarray, rows, p: int
+) -> None:
+    """Replace each row k in ``rows`` by the product (row k)(row p), in place.
+
+    Rows are (-1)^r X^x Z^z as for conjugate_rows; ``rows`` must not
+    contain p.  This is the only copy of the phase rule: the exponent of
+    i is summed per qubit mod 4, and a product of commuting Hermitian
+    strings has exponent 0 or 2 (sign +1 or -1); an odd one raises.
+    """
+    rows = np.asarray(rows, dtype=np.intp)
+    x1, z1 = x[rows].astype(np.int64), z[rows].astype(np.int64)
+    x2, z2 = x[p].astype(np.int64), z[p].astype(np.int64)
+    g = (
+        x1 * z1 * (z2 - x2)
+        + x1 * (1 - z1) * z2 * (2 * x2 - 1)
+        + (1 - x1) * z1 * x2 * (1 - 2 * z2)
+    ).sum(axis=1) % 4
+    if (g % 2).any():
+        raise ValueError("product has imaginary phase (operators anticommute)")
+    r[rows] ^= r[p] ^ (g >> 1).astype(np.uint8)
+    x[rows] ^= x[p]
+    z[rows] ^= z[p]
 
 
 def conjugate_rows(x: np.ndarray, z: np.ndarray, r: np.ndarray, g: CliffordGate) -> None:

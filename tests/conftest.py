@@ -56,6 +56,20 @@ def random_commuting_set(
     return ops
 
 
+def dense_pmf(ops: list[PauliString], w: CliffordCircuit) -> dict:
+    """pmf of K tallied by the dense oracle from the unitary of W."""
+    from pauliframe.oracle import (
+        brute_pmf_K,
+        dense_diagonal,
+        dense_state_from_circuit,
+        unitary_from_circuit,
+    )
+
+    wm = unitary_from_circuit(w)
+    diagonals = np.stack([dense_diagonal(op, w, wm) for op in ops])
+    return brute_pmf_K(diagonals, dense_state_from_circuit(w))
+
+
 def inverse_circuit(w: CliffordCircuit) -> CliffordCircuit:
     """Gate-by-gate inverse (S inverts as S^3; the rest are involutions)."""
     inv = []

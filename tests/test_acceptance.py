@@ -20,7 +20,6 @@ from pauliframe import (
     parse_pauli,
     simultaneous_diagonalize,
     support_points,
-    tableau_from_circuit,
 )
 from pauliframe.oracle import (
     amplitudes_squared,
@@ -38,9 +37,7 @@ from conftest import EXAMPLE_SET_1, EXAMPLE_SET_2, random_commuting_set
 
 def analyze(ops):
     diag = simultaneous_diagonalize(ops)
-    sup = tableau_from_circuit(diag.circuit).extract_support()
-    dist = build_distribution(diag, sup)
-    return diag, sup, dist
+    return diag, diag.support, build_distribution(ops)
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -93,7 +90,7 @@ def test_criterion_2_second_example():
 
 
 def test_criterion_3_single_x_closed_form():
-    _, _, dist = analyze([parse_pauli("X")])
+    dist = build_distribution([parse_pauli("X")])
     mom = moments(dist)
     vol = lattice_volume(support_points(dist))
     ok = True
@@ -125,8 +122,7 @@ def test_criterion_4_oracle_equivalence_sweep():
         # dense conjugation confirms diagonality (dense_diagonal raises
         # if off-diagonal entries appear)
         try:
-            for op in ops:
-                dense_diagonal(op, diag.circuit, wm)
+            diagonals = np.stack([dense_diagonal(op, diag.circuit, wm) for op in ops])
         except ValueError as exc:
             failures.append(f"trial {trial}: {exc}")
             continue
@@ -138,7 +134,7 @@ def test_criterion_4_oracle_equivalence_sweep():
             failures.append(f"trial {trial}: support mismatch")
             continue
         # exact pmf equality
-        brute = brute_pmf_K(ops, diag, state)
+        brute = brute_pmf_K(diagonals, state)
         built = {
             tuple(int(v) for v in p): dist.pmf_value
             for p in support_points(dist)
@@ -153,7 +149,7 @@ def test_criterion_4_oracle_equivalence_sweep():
 def test_criterion_5_clt_convergence():
     start = time.monotonic()
     ops = [parse_pauli(s) for s in EXAMPLE_SET_1]
-    _, _, dist = analyze(ops)
+    dist = build_distribution(ops)
     mom = moments(dist)
     vol = lattice_volume(support_points(dist))
     ratios = {}
@@ -183,7 +179,7 @@ def test_criterion_6_monte_carlo_consistency():
     worst_z = 0.0
     ok = True
     for i, ops in enumerate(pairs):
-        _, _, dist = analyze(ops)
+        dist = build_distribution(ops)
         for t in (1, 2, 3):
             exact = exact_frame_potential(dist, t)
             est, err = mc_frame_potential(ops, t, 10**6, seed=500 + i)
@@ -195,7 +191,7 @@ def test_criterion_6_monte_carlo_consistency():
 
 def test_criterion_7_degenerate_single_z():
     ops = [parse_pauli("Z")]
-    _, _, dist = analyze(ops)
+    dist = build_distribution(ops)
     mom = moments(dist)
     vol = lattice_volume(support_points(dist))
     ok = vol is None and mom.degenerate and dist.support_size == 1

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pauliframe import cli, oracle
 from pauliframe.cli import main
 
 from conftest import EXAMPLE_SET_1, EXAMPLE_SET_2, walk_count_frame_potential
@@ -139,6 +140,34 @@ class TestSubcommands:
         assert doc["passed"] is True
         assert doc["failures"] == []
 
+    def test_frame_potential_synthesizes_no_circuit(self, capsys, example_file, monkeypatch):
+        def refuse(ops):
+            raise AssertionError("frame-potential synthesized W")
+
+        monkeypatch.setattr(cli, "simultaneous_diagonalize", refuse)
+        code, out, _ = run(capsys, "frame-potential", example_file, "--t", "2", "--exact")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["V_U"] == 64 and doc["support_size"] == 16
+
+    def test_verify_builds_one_unitary(self, capsys, example_file, monkeypatch):
+        calls = {"unitary": 0, "diagonal": 0}
+        unitary, diagonal = oracle.unitary_from_circuit, oracle.dense_diagonal
+
+        def count_unitary(w):
+            calls["unitary"] += 1
+            return unitary(w)
+
+        def count_diagonal(op, w, wm=None):
+            calls["diagonal"] += 1
+            return diagonal(op, w, wm)
+
+        monkeypatch.setattr(oracle, "unitary_from_circuit", count_unitary)
+        monkeypatch.setattr(oracle, "dense_diagonal", count_diagonal)
+        code, out, _ = run(capsys, "verify", example_file)
+        assert code == 0 and json.loads(out)["passed"] is True
+        assert calls == {"unitary": 1, "diagonal": 5}
+
     def test_mc_deterministic_given_seed(self, capsys, tmp_path):
         path = tmp_path / "pair.txt"
         path.write_text("XX\nZZ\n")
@@ -224,6 +253,17 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert "line 3" in err and "identity" in err
+
+    @pytest.mark.parametrize(
+        "command", ["report", "distribution", "frame-potential", "diagonalize", "verify"]
+    )
+    def test_noncommuting_exit_3_names_first_pair(self, capsys, tmp_path, command):
+        path = tmp_path / "anti.txt"
+        path.write_text("ZZ\nXX\nZI\nIZ\n")
+        code, out, err = run(capsys, command, str(path))
+        assert code == 3
+        assert out == ""
+        assert "pair (1, 2)" in err
 
     @pytest.mark.parametrize(
         "content", ["XX\nZZ\n", "Z\n"], ids=["nondegenerate", "degenerate"]

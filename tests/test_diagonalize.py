@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,6 @@ from pauliframe import (
     simultaneous_diagonalize,
     verify_diagonalization,
 )
-from pauliframe.diagonalize import DiagonalizedSet
 from pauliframe.oracle import bits_matrix, dense_conjugation_check
 
 from conftest import random_commuting_set
@@ -92,7 +93,7 @@ class TestVerifyDiagonalization:
         result = simultaneous_diagonalize(example_ops_1)
         A = result.A.copy()
         A[2, 3] ^= 1
-        bad = DiagonalizedSet(circuit=result.circuit, A=A, s=result.s)
+        bad = replace(result, A=A)
         ok, j = verify_diagonalization(example_ops_1, bad)
         assert not ok and j == 2
 
@@ -100,7 +101,7 @@ class TestVerifyDiagonalization:
         result = simultaneous_diagonalize(example_ops_1)
         s = result.s.copy()
         s[4] ^= 1
-        bad = DiagonalizedSet(circuit=result.circuit, A=result.A, s=s)
+        bad = replace(result, s=s)
         ok, j = verify_diagonalization(example_ops_1, bad)
         assert not ok and j == 4
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pauliframe import (
+    NonCommutingSetError,
     PauliString,
     build_distribution,
     gf2,
@@ -14,25 +15,17 @@ from pauliframe import (
     parse_pauli,
     simultaneous_diagonalize,
     support_points,
-    tableau_from_circuit,
 )
 from pauliframe import distribution
 from pauliframe.distribution import SupportTooLargeError
 from pauliframe.oracle import (
     amplitudes_squared,
-    brute_pmf_K,
     dense_diagonal,
     dense_state_from_circuit,
     unitary_from_circuit,
 )
 
-from conftest import random_commuting_set
-
-
-def analyze(ops):
-    diag = simultaneous_diagonalize(ops)
-    sup = tableau_from_circuit(diag.circuit).extract_support()
-    return diag, sup, build_distribution(diag, sup)
+from conftest import dense_pmf, random_commuting_set
 
 
 class TestKRow:
@@ -40,7 +33,8 @@ class TestKRow:
         # The K row at basis label x is (-1)^(s ^ A x); it must equal the
         # dense diagonal of W H_j W^dagger, and the rows at the labels the
         # state occupies must be exactly the support points of the law.
-        diag, sup, dist = analyze(example_ops_1)
+        diag = simultaneous_diagonalize(example_ops_1)
+        dist = build_distribution(example_ops_1)
         wm = unitary_from_circuit(diag.circuit)
         dense_rows = np.stack(
             [dense_diagonal(op, diag.circuit, wm) for op in example_ops_1]
@@ -59,16 +53,30 @@ class TestKRow:
 
 class TestBuildDistribution:
     def test_worked_example(self, example_ops_1):
-        _, _, dist = analyze(example_ops_1)
+        dist = build_distribution(example_ops_1)
         assert dist.rho == 4
         assert dist.support_size == 16
         assert dist.pmf_value == Fraction(1, 16)
 
     def test_point_mass(self):
-        _, _, dist = analyze([parse_pauli("Z")])
+        dist = build_distribution([parse_pauli("Z")])
         assert dist.rho == 0
         assert dist.support_size == 1
         assert dist.pmf_value == 1
+
+    def test_noncommuting_names_first_pair(self):
+        ops = [parse_pauli(s) for s in ["ZZ", "XX", "ZI", "IZ"]]
+        with pytest.raises(NonCommutingSetError) as exc:
+            build_distribution(ops)
+        assert exc.value.pair == (1, 2)
+
+    def test_offset_is_zero_at_pivots_and_sign_elsewhere(self):
+        # XX is the only pivot.  -ZZ has no X part and reads -1 on |00>;
+        # YY * XX = -ZZ and -XX * XX = -II also read -1.
+        ops = [parse_pauli(s) for s in ["XX", "-ZZ", "YY", "-XX"]]
+        dist = build_distribution(ops)
+        assert dist.b0.tolist() == [0, 1, 1, 1]
+        assert dist.basis.tolist() == [[1, 0, 1, 1]]
 
     def test_matches_brute_force_random_sets(self):
         rng = np.random.default_rng(201)
@@ -76,9 +84,9 @@ class TestBuildDistribution:
             n = int(rng.integers(1, 6))
             N = int(rng.integers(1, 7))
             ops = random_commuting_set(n, N, rng)
-            diag, sup, dist = analyze(ops)
-            state = dense_state_from_circuit(diag.circuit)
-            brute = brute_pmf_K(ops, diag, state)
+            diag = simultaneous_diagonalize(ops)
+            dist = build_distribution(ops)
+            brute = dense_pmf(ops, diag.circuit)
             built = {
                 tuple(int(v) for v in p): dist.pmf_value
                 for p in support_points(dist)
@@ -96,9 +104,10 @@ def left_kernel(X):
 
 class TestThreeEngines:
     def test_direct_law_matches_w_and_dense_oracle(self):
-        # The law of K read from the X-block of the input (code and
-        # left-kernel parities) must equal the one built through W and
-        # the tableau, and the dense oracle's tally.
+        # The law of K read from the input rows must meet every
+        # left-kernel parity of X, equal the coset b0' + colspace(A R)
+        # built from W (A, s) and the support (R, t) of W|0>, with
+        # b0' = A t ^ s, and equal the dense oracle's tally through W.
         rng = np.random.default_rng(606)
         with_kernel = 0
         for _ in range(150):
@@ -107,7 +116,7 @@ class TestThreeEngines:
             for _ in range(int(rng.integers(0, 3))):
                 op = ops[int(rng.integers(len(ops)))]
                 ops.append(PauliString(n, op.x, op.z, int(rng.choice([1, -1]))))
-            diag, sup, dist = analyze(ops)
+            dist = build_distribution(ops)
             X = np.stack([op.x for op in ops])
             assert np.array_equal(dist.basis, gf2.row_space_basis(X.T))
             kernel = left_kernel(X)
@@ -119,15 +128,19 @@ class TestThreeEngines:
                     prod = multiply(prod, op)
                 assert not prod.x.any()
                 assert int(dist.b0[S == 1].sum()) % 2 == (prod.sign == -1)
-            brute = brute_pmf_K(ops, diag, dense_state_from_circuit(diag.circuit))
+            diag = simultaneous_diagonalize(ops)
+            sup = diag.support
+            assert np.array_equal(dist.basis, gf2.row_space_basis(gf2.mat_mul(diag.A, sup.R).T))
+            offset = gf2.mat_vec(diag.A, sup.t) ^ diag.s
+            assert gf2.in_row_span(dist.basis, offset ^ dist.b0)
             built = dict.fromkeys(map(tuple, support_points(dist).tolist()), dist.pmf_value)
-            assert brute == built
+            assert dense_pmf(ops, diag.circuit) == built
         assert with_kernel > 100  # sets with a parity constraint on b0
 
 
 class TestSupportPoints:
     def test_worked_example_16_points(self, example_ops_1):
-        _, _, dist = analyze(example_ops_1)
+        dist = build_distribution(example_ops_1)
         pts = support_points(dist)
         assert len(pts) == 16
         as_tuples = {tuple(int(v) for v in p) for p in pts}
@@ -135,18 +148,18 @@ class TestSupportPoints:
         assert all(set(p) <= {-1, 1} for p in as_tuples)
 
     def test_point_mass_singleton(self):
-        _, _, dist = analyze([parse_pauli("Z")])
+        dist = build_distribution([parse_pauli("Z")])
         pts = support_points(dist)
         assert len(pts) == 1
         assert pts[0].tolist() == [1]
 
     def test_single_x_two_points(self):
-        _, _, dist = analyze([parse_pauli("X")])
+        dist = build_distribution([parse_pauli("X")])
         pts = {tuple(int(v) for v in p) for p in support_points(dist)}
         assert pts == {(1,), (-1,)}
 
     def test_cap_exceeded(self, example_ops_1, monkeypatch):
-        _, _, dist = analyze(example_ops_1)
+        dist = build_distribution(example_ops_1)
         monkeypatch.setattr(distribution, "ENUMERATION_CAP", 3)
         with pytest.raises(SupportTooLargeError):
             support_points(dist)
@@ -154,7 +167,7 @@ class TestSupportPoints:
 
 class TestMoments:
     def test_worked_covariance_identity(self, example_ops_1):
-        _, _, dist = analyze(example_ops_1)
+        dist = build_distribution(example_ops_1)
         mom = moments(dist)
         assert np.array_equal(mom.covariance, np.eye(5, dtype=np.int64))
         assert mom.mean.tolist() == [0] * 5
@@ -162,14 +175,14 @@ class TestMoments:
         assert not mom.degenerate
 
     def test_point_mass_degenerate(self):
-        _, _, dist = analyze([parse_pauli("Z")])
+        dist = build_distribution([parse_pauli("Z")])
         mom = moments(dist)
         assert mom.mean.tolist() == [1]
         assert not mom.covariance.any()
         assert mom.degenerate
 
     def test_single_x(self):
-        _, _, dist = analyze([parse_pauli("X")])
+        dist = build_distribution([parse_pauli("X")])
         mom = moments(dist)
         assert mom.mean.tolist() == [0]
         assert mom.covariance.tolist() == [[1]]
@@ -180,7 +193,7 @@ class TestMoments:
             n = int(rng.integers(1, 6))
             N = int(rng.integers(1, 7))
             ops = random_commuting_set(n, N, rng)
-            _, _, dist = analyze(ops)
+            dist = build_distribution(ops)
             mom = moments(dist)
             pts = support_points(dist).astype(np.int64)
             mean = pts.mean(axis=0)
@@ -194,8 +207,8 @@ class TestMoments:
             n = int(rng.integers(1, 6))
             N = int(rng.integers(1, 6))
             ops = random_commuting_set(n, N, rng)
-            diag, sup, dist = analyze(ops)
-            mom = moments(dist)
+            diag = simultaneous_diagonalize(ops)
+            mom = moments(build_distribution(ops))
             wm = unitary_from_circuit(diag.circuit)
             state = dense_state_from_circuit(diag.circuit)
             probs = amplitudes_squared(state)
@@ -219,8 +232,8 @@ class TestWInvariance:
             N = int(rng.integers(2, 6))
             ops = random_commuting_set(n, N, rng)
             perm = rng.permutation(N)
-            _, _, d1 = analyze(ops)
-            _, _, d2_p = analyze([ops[i] for i in perm])
+            d1 = build_distribution(ops)
+            d2_p = build_distribution([ops[i] for i in perm])
             pts1 = {tuple(int(v) for v in p) for p in support_points(d1)}
             # Undo the permutation on each support vector of the variant.
             inv = np.argsort(perm)

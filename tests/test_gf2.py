@@ -21,6 +21,48 @@ tiny_matrices = arrays(
 )
 
 
+def loop_rref(m):
+    """Reference RREF: clears each pivot column one row at a time."""
+    r = m.copy()
+    rows, cols = r.shape
+    pivots = []
+    for col in range(cols):
+        src = next((i for i in range(len(pivots), rows) if r[i, col]), None)
+        if src is None:
+            continue
+        p = len(pivots)
+        r[[p, src]] = r[[src, p]]
+        for i in range(rows):
+            if i != p and r[i, col]:
+                r[i] ^= r[p]
+        pivots.append(col)
+    return r, pivots
+
+
+class TestRref:
+    @given(small_matrices)
+    def test_matches_loop_reference(self, m):
+        red, pivots = gf2.rref(m)
+        ref, ref_pivots = loop_rref(m)
+        assert np.array_equal(red, ref)
+        assert pivots == ref_pivots
+
+    def test_matches_loop_reference_tall_and_wide(self):
+        rng = np.random.default_rng(11)
+        for shape in [(192, 96), (40, 7), (7, 40), (64, 64)]:
+            m = rng.integers(0, 2, size=shape).astype(np.uint8)
+            m[rng.random(shape[0]) < 0.3] = m[0]  # repeated rows lower the rank
+            red, pivots = gf2.rref(m)
+            ref, ref_pivots = loop_rref(m)
+            assert np.array_equal(red, ref)
+            assert pivots == ref_pivots
+
+    def test_does_not_mutate_input(self):
+        m = np.array([[1, 1], [1, 0]], dtype=np.uint8)
+        gf2.rref(m)
+        assert m.tolist() == [[1, 1], [1, 0]]
+
+
 class TestRank:
     def test_zero_matrix(self):
         assert gf2.rank(np.zeros((4, 7), dtype=np.uint8)) == 0

@@ -16,9 +16,7 @@ from pauliframe import (
     lattice_volume,
     moments,
     parse_pauli,
-    simultaneous_diagonalize,
     support_points,
-    tableau_from_circuit,
 )
 from pauliframe.lattice import (
     DegenerateLatticeError,
@@ -28,12 +26,6 @@ from pauliframe.lattice import (
 from pauliframe.oracle import mc_frame_potential
 
 from conftest import random_commuting_set, walk_count_frame_potential
-
-
-def distribution_for(ops):
-    diag = simultaneous_diagonalize(ops)
-    sup = tableau_from_circuit(diag.circuit).extract_support()
-    return build_distribution(diag, sup)
 
 
 def x_type_set(n: int, N: int, rng: np.random.Generator):
@@ -82,11 +74,11 @@ class TestHNF:
 
 class TestLatticeVolume:
     def test_worked_example_1(self, example_ops_1):
-        dist = distribution_for(example_ops_1)
+        dist = build_distribution(example_ops_1)
         assert lattice_volume(support_points(dist)) == 64
 
     def test_worked_example_2(self, example_ops_2):
-        dist = distribution_for(example_ops_2)
+        dist = build_distribution(example_ops_2)
         assert lattice_volume(support_points(dist)) == 32
 
     def test_singleton_degenerate(self):
@@ -97,7 +89,7 @@ class TestLatticeVolume:
             lattice_volume([])
 
     def test_invariant_under_base_point(self, example_ops_1):
-        dist = distribution_for(example_ops_1)
+        dist = build_distribution(example_ops_1)
         pts = support_points(dist)
         for shift in (1, 5, 11):
             rotated = np.roll(pts, -shift, axis=0)
@@ -109,10 +101,10 @@ class TestLatticeVolume:
             n = int(rng.integers(2, 6))
             N = int(rng.integers(2, 6))
             ops = random_commuting_set(n, N, rng)
-            v1 = lattice_volume(support_points(distribution_for(ops)))
+            v1 = lattice_volume(support_points(build_distribution(ops)))
             perm = list(rng.permutation(N))
             v2 = lattice_volume(
-                support_points(distribution_for([ops[i] for i in perm]))
+                support_points(build_distribution([ops[i] for i in perm]))
             )
             assert v1 == v2
 
@@ -122,7 +114,7 @@ class TestLatticeVolume:
             n = int(rng.integers(1, 6))
             N = int(rng.integers(1, 6))
             ops = random_commuting_set(n, N, rng)
-            v = lattice_volume(support_points(distribution_for(ops)))
+            v = lattice_volume(support_points(build_distribution(ops)))
             if v is not None:
                 assert v % 2**N == 0
 
@@ -158,7 +150,7 @@ class TestCltFramePotential:
 
 class TestExactFramePotential:
     def test_single_x_binomial(self):
-        dist = distribution_for([parse_pauli("X")])
+        dist = build_distribution([parse_pauli("X")])
         for t in range(1, 9):
             expected = math.comb(2 * t, t) / 4**t
             assert exact_frame_potential(dist, t) == pytest.approx(
@@ -166,7 +158,7 @@ class TestExactFramePotential:
             )
 
     def test_point_mass_is_one(self):
-        dist = distribution_for([parse_pauli("Z")])
+        dist = build_distribution([parse_pauli("Z")])
         for t in (1, 3, 10):
             assert exact_frame_potential(dist, t) == 1.0
 
@@ -175,7 +167,7 @@ class TestExactFramePotential:
         for _ in range(10):
             n = int(rng.integers(1, 4))
             ops = random_commuting_set(n, int(rng.integers(1, 4)), rng)
-            dist = distribution_for(ops)
+            dist = build_distribution(ops)
             for t in (1, 2, 3):
                 v = exact_frame_potential(dist, t)
                 assert 0 < v <= 1 + 1e-12
@@ -185,7 +177,7 @@ class TestExactFramePotential:
         for trial in range(5):
             n = int(rng.integers(1, 4))
             ops = random_commuting_set(n, int(rng.integers(1, 4)), rng)
-            dist = distribution_for(ops)
+            dist = build_distribution(ops)
             for t in (1, 2, 3):
                 ex = exact_frame_potential(dist, t)
                 est, err = mc_frame_potential(ops, t, 200_000, seed=1000 + trial)
@@ -206,7 +198,7 @@ class TestExactFramePotential:
             cases.append(x_type_set(int(rng.integers(3, 7)), N, rng))
             cases.append(degenerate_x_type_set(int(rng.integers(1, 5)), N, rng))
         for ops in cases:
-            dist = distribution_for(ops)
+            dist = build_distribution(ops)
             bits = (1 - np.array(support_points(dist))) // 2
             for t in sorted({1, int(rng.integers(2, 9)), 8}):
                 expected = walk_count_frame_potential(bits, t)
@@ -216,7 +208,7 @@ class TestExactFramePotential:
     def test_memory_stays_below_one_grid_array(self):
         # N = 6 at t = 12: the full grid is 13^6 points, 77 MB as complex128.
         ops = [PauliString(6, x, np.zeros(6, np.uint8)) for x in np.eye(6, dtype=np.uint8)]
-        dist = distribution_for(ops)
+        dist = build_distribution(ops)
         tracemalloc.start()
         try:
             value = exact_frame_potential(dist, 12)
@@ -228,7 +220,7 @@ class TestExactFramePotential:
         assert value == pytest.approx((math.comb(24, 12) / 4**12) ** 6, rel=1e-12)
 
     def test_quadrature_cap(self, example_ops_1):
-        dist = distribution_for(example_ops_1)
+        dist = build_distribution(example_ops_1)
         tracemalloc.start()
         try:
             with pytest.raises(QuadratureCapError):
@@ -240,12 +232,12 @@ class TestExactFramePotential:
         assert peak < 1 << 20
 
     def test_bad_t(self, example_ops_1):
-        dist = distribution_for(example_ops_1)
+        dist = build_distribution(example_ops_1)
         with pytest.raises(ValueError):
             exact_frame_potential(dist, 0)
 
     def test_convergence_to_clt(self, example_ops_1):
-        dist = distribution_for(example_ops_1)
+        dist = build_distribution(example_ops_1)
         mom = moments(dist)
         vol = lattice_volume(support_points(dist))
         errs = []

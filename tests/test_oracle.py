@@ -166,14 +166,23 @@ class TestMonteCarlo:
         b = mc_frame_potential(ops, 2, 50_000, seed=99)
         assert a == b
 
+    def test_seeded_value_is_pinned(self, example_ops_1):
+        # Recorded from the out-of-place rotation update; the in-place
+        # one performs the same floating-point operations.
+        assert mc_frame_potential(example_ops_1, 2, 3000, seed=11) == (
+            0.01593529014686682,
+            0.0009928495182048695,
+        )
+
     def test_zero_samples(self):
         with pytest.raises(ValueError):
             mc_frame_potential([parse_pauli("X")], 1, 0, seed=0)
 
     def test_batch_memory_bounded_at_max_qubits(self):
         # At n = 10 a batch holds 2**22 amplitudes (64 MiB of complex128);
-        # the two state batches and one rotation step's temporaries stay
-        # under eight of those.  A 2**13-sample batch would need twice that.
+        # the two state batches and one rotation step's in-place update
+        # stay under five of those.  A 2**13-sample batch would need
+        # twice that.
         ops = [parse_pauli("X" + "I" * (MAX_QUBITS - 1))]
         tracemalloc.start()
         try:
@@ -181,5 +190,5 @@ class TestMonteCarlo:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * (1 << 22) * 16
+        assert peak < 5 * (1 << 22) * 16
         assert abs(est - 1 / 2) < 3 * err  # F(1) = E cos^2 = 1/2

@@ -20,7 +20,9 @@ from pauliframe import (
     multiply,
     parse_pauli,
 )
+from pauliframe import gf2
 from pauliframe.oracle import pauli_matrix
+from pauliframe.pauli import conjugate_rows, multiply_rows, pauli_rows, row_pauli
 
 from conftest import EXAMPLE_SET_1, inverse_circuit, random_clifford_circuit
 
@@ -237,6 +239,55 @@ class TestMultiply:
     def test_anticommuting_product_raises(self):
         with pytest.raises(ValueError, match="imaginary"):
             multiply(parse_pauli("X"), parse_pauli("Z"))
+
+
+class TestMultiplyRows:
+    def test_many_rows_match_multiply_and_dense_product(self):
+        rng = np.random.default_rng(23)
+        for _ in range(30):
+            n = int(rng.integers(1, 5))
+            pivot = _random_pauli(n, rng)
+            ops = [pivot]
+            while len(ops) < 12:
+                q = _random_pauli(n, rng)
+                if commutes(q, pivot):
+                    ops.append(q)
+            x, z, r = pauli_rows(ops)
+            rows = np.flatnonzero(rng.random(len(ops) - 1) < 0.7) + 1
+            multiply_rows(x, z, r, rows, 0)
+            for k, op in enumerate(ops):
+                got = row_pauli(x, z, r, k)
+                if k in rows:
+                    assert got == multiply(op, pivot)
+                    assert np.allclose(
+                        pauli_matrix(got), pauli_matrix(op) @ pauli_matrix(pivot)
+                    )
+                else:
+                    assert got == op
+
+    def test_anticommuting_row_raises(self):
+        x, z, r = pauli_rows([parse_pauli(s) for s in ["XI", "ZZ", "ZI"]])
+        with pytest.raises(ValueError, match="imaginary"):
+            multiply_rows(x, z, r, [1, 2], 0)
+
+
+class TestInvariants:
+    def test_hold_after_every_gate(self):
+        # Rows X_1..X_n, Z_1..Z_n keep full rank and the symplectic form
+        # [[0, I], [I, 0]] under conjugate_rows: Clifford conjugation is
+        # a symplectic map.
+        rng = np.random.default_rng(5)
+        for _ in range(15):
+            n = int(rng.integers(1, 5))
+            eye, zero = np.eye(n, dtype=np.uint8), np.zeros((n, n), dtype=np.uint8)
+            x = np.concatenate([eye, zero])
+            z = np.concatenate([zero, eye])
+            r = np.zeros(2 * n, dtype=np.uint8)
+            form = np.block([[zero, eye], [eye, zero]])
+            for g in random_clifford_circuit(n, 25, rng).gates:
+                conjugate_rows(x, z, r, g)
+                assert gf2.rank(np.concatenate([x, z], axis=1)) == 2 * n
+                assert np.array_equal((gf2.mat_mul(x, z.T) + gf2.mat_mul(z, x.T)) % 2, form)
 
 
 def _random_pauli(n, rng) -> PauliString:
