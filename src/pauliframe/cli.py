@@ -126,9 +126,13 @@ def _law_fields(dist, mom) -> dict:
 
 
 def _frame_fields(ops, dist, mom, t_values, exact, mc_samples, seed) -> dict:
-    """V_U, the CLT coefficient and the frame-potential values."""
-    vol = lattice.lattice_volume(support_points(dist))
-    degenerate = vol is None or mom.det_cov == 0
+    """V_U, the CLT coefficient and the frame-potential values.
+
+    A degenerate law (Cov != I) has no full-rank lattice, so V_U is
+    computed only for the others.
+    """
+    degenerate = mom.degenerate
+    vol = None if degenerate else lattice.lattice_volume(support_points(dist))
     values = []
     for t in t_values:
         entry = {"t": t}
@@ -342,6 +346,7 @@ def main(argv=None) -> int:
         SupportTooLargeError,
         oracle.OracleGuardError,
         lattice.QuadratureCapError,
+        lattice.FloatRangeError,
     ) as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return EXIT_GUARD

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -98,3 +99,57 @@ def walk_count_frame_potential(bits, t: int) -> Fraction:
             nxt[tuple(slice(int(v), int(v) + k) for v in b)] += counts
         counts = nxt
     return Fraction(sum(c * c for c in counts[counts != 0].tolist()), M ** (2 * t))
+
+
+def hnf_diagonal(rows: list[list[int]], n: int) -> list[int] | None:
+    """Pivots of the row Hermite normal form; None if rank < n.
+
+    Euclidean elimination with exact Python ints; only the diagonal is
+    needed since the covolume is its product.
+    """
+    a = [row[:] for row in rows]
+    pivot_row = 0
+    diag: list[int] = []
+    for col in range(n):
+        while True:
+            nz = [i for i in range(pivot_row, len(a)) if a[i][col] != 0]
+            if not nz:
+                break
+            best = min(nz, key=lambda i: abs(a[i][col]))
+            a[pivot_row], a[best] = a[best], a[pivot_row]
+            done = True
+            for i in range(pivot_row + 1, len(a)):
+                if a[i][col] != 0:
+                    qfac = a[i][col] // a[pivot_row][col]
+                    a[i] = [v - qfac * w for v, w in zip(a[i], a[pivot_row])]
+                    if a[i][col] != 0:
+                        done = False
+            if done:
+                break
+        if pivot_row < len(a) and a[pivot_row][col] != 0:
+            if a[pivot_row][col] < 0:
+                a[pivot_row] = [-v for v in a[pivot_row]]
+            diag.append(a[pivot_row][col])
+            pivot_row += 1
+        else:
+            return None
+    return diag
+
+
+def hnf_volume(points) -> int | None:
+    """Covolume of the lattice spanned by the differences of integer
+    points, from the Hermite normal form of all differences to the first
+    point; None if the rank is below N.
+
+    The test oracle for ``lattice.lattice_volume``, which reads the same
+    number from GF(2) ranks when the points form a coset.
+    """
+    points = np.asarray(points, dtype=np.int64)
+    diffs = points[1:] - points[0]
+    diffs = diffs[diffs.any(axis=1)]
+    if not len(diffs):
+        return None
+    diag = hnf_diagonal(diffs.tolist(), points.shape[1])
+    if diag is None:
+        return None
+    return abs(math.prod(diag))

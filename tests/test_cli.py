@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -316,3 +317,51 @@ class TestExitCodes:
         code, out, _ = run(capsys, "check", str(path))
         assert code == 0
         assert json.loads(out)["N"] == 2
+
+
+def x_rows_file(path, n: int, codes) -> str:
+    """One X-type string per integer code: qubit i carries X where bit i is set."""
+    path.write_text(
+        "".join("".join("X" if c >> i & 1 else "I" for i in range(n)) + "\n" for c in codes)
+    )
+    return str(path)
+
+
+class TestLargeInputs:
+    def test_degenerate_law_beyond_the_support_cap(self, capsys, tmp_path):
+        # X on each of 21 qubits plus -X on the first: rho = 21 is past the
+        # 2^20 support cap, but two equal x-rows make the law degenerate,
+        # so V_U needs no enumeration.
+        path = tmp_path / "ops.txt"
+        path.write_text("".join(
+            "I" * j + "X" + "I" * (20 - j) + "\n" for j in range(21)
+        ) + "-X" + "I" * 20 + "\n")
+        code, out, _ = run(capsys, "report", str(path))
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["rank_AR"] == 21
+        assert doc["V_U"] == "degenerate"
+        assert doc["clt_coefficient"] is None and doc["values"][0]["clt"] is None
+
+    def test_clt_in_log_space_where_floats_overflow(self, capsys, tmp_path):
+        # 300 distinct X-type rows on 9 qubits: (4 pi)^300 and V_U both
+        # overflow a float, the CLT values do not.
+        path = x_rows_file(tmp_path / "big300.txt", 9, range(1, 301))
+        code, out, _ = run(capsys, "frame-potential", path, "--t", "1", "--t", "10")
+        assert code == 0
+        doc = json.loads(out)
+        log_volume = math.log(doc["V_U"])
+        assert log_volume > math.log(2.0**1023)
+        for entry in doc["values"]:
+            expected = math.exp(log_volume - 150 * math.log(4 * math.pi * entry["t"]))
+            assert entry["clt"] == pytest.approx(expected, rel=1e-12)
+        assert doc["clt_coefficient"] == doc["values"][0]["clt"]
+
+    def test_clt_beyond_float_range_exits_4(self, capsys, tmp_path):
+        # All 511 nonzero X-type rows on 9 qubits: log V_U - (N/2) log(4 pi)
+        # is about 950, past the largest float.
+        path = x_rows_file(tmp_path / "big511.txt", 9, range(1, 512))
+        code, out, err = run(capsys, "frame-potential", path, "--t", "10")
+        assert code == 4
+        assert out == ""
+        assert "resource guard" in err and "CLT coefficient" in err

@@ -6,6 +6,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from pauliframe import (
     PauliString,
@@ -13,6 +16,7 @@ from pauliframe import (
     clt_coefficient,
     clt_frame_potential,
     exact_frame_potential,
+    gf2,
     lattice_volume,
     moments,
     parse_pauli,
@@ -20,12 +24,17 @@ from pauliframe import (
 )
 from pauliframe.lattice import (
     DegenerateLatticeError,
+    FloatRangeError,
     QuadratureCapError,
-    _hnf_diagonal,
 )
 from pauliframe.oracle import mc_frame_potential
 
-from conftest import random_commuting_set, walk_count_frame_potential
+from conftest import (
+    hnf_diagonal,
+    hnf_volume,
+    random_commuting_set,
+    walk_count_frame_potential,
+)
 
 
 def x_type_set(n: int, N: int, rng: np.random.Generator):
@@ -57,19 +66,45 @@ def degenerate_x_type_set(n: int, N: int, rng: np.random.Generator):
     return ops
 
 
+def coset_points(generators, b0) -> np.ndarray:
+    """The support of the law uniform on b0 + span(generators), as +-1 rows."""
+    return 1 - 2 * gf2.coset(gf2.row_space_basis(generators), b0).astype(np.int8)
+
+
+def reed_muller_1(m: int) -> np.ndarray:
+    """Generator of RM(1, m): the all-ones word and the m coordinate
+    functions, evaluated at the 2^m points of GF(2)^m."""
+    points = (np.arange(2**m)[None, :] >> np.arange(m)[:, None]) & 1
+    return np.vstack([np.ones(2**m, dtype=np.uint8), points.astype(np.uint8)])
+
+
+def schur_square_dim(basis) -> int:
+    """dim C*C from the pairwise products of the rows of ``basis``."""
+    basis = np.asarray(basis, dtype=np.uint8)
+    return gf2.rank((basis[:, None, :] & basis[None, :, :]).reshape(-1, basis.shape[1]))
+
+
+codes = st.integers(1, 7).flatmap(
+    lambda N: st.tuples(
+        arrays(np.uint8, st.tuples(st.integers(0, 6), st.just(N)), elements=st.integers(0, 1)),
+        arrays(np.uint8, st.just(N), elements=st.integers(0, 1)),
+    )
+)
+
+
 class TestHNF:
     def test_identity(self):
-        assert _hnf_diagonal([[1, 0], [0, 1]], 2) == [1, 1]
+        assert hnf_diagonal([[1, 0], [0, 1]], 2) == [1, 1]
 
     def test_scaled(self):
-        assert _hnf_diagonal([[2, 0], [0, 3]], 2) == [2, 3]
+        assert hnf_diagonal([[2, 0], [0, 3]], 2) == [2, 3]
 
     def test_gcd_reduction(self):
         # rows (4,0) and (6,0) generate 2Z in the first coordinate
-        assert _hnf_diagonal([[4, 0], [6, 0], [0, 1]], 2) == [2, 1]
+        assert hnf_diagonal([[4, 0], [6, 0], [0, 1]], 2) == [2, 1]
 
     def test_rank_deficient(self):
-        assert _hnf_diagonal([[1, 1], [2, 2]], 2) is None
+        assert hnf_diagonal([[1, 1], [2, 2]], 2) is None
 
 
 class TestLatticeVolume:
@@ -118,6 +153,85 @@ class TestLatticeVolume:
             if v is not None:
                 assert v % 2**N == 0
 
+    @settings(max_examples=150, deadline=None)
+    @given(codes)
+    def test_matches_hnf_oracle_on_small_codes(self, code):
+        generators, b0 = code
+        points = coset_points(generators, b0)
+        assert lattice_volume(points) == hnf_volume(points)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 4).flatmap(
+        lambda m: st.tuples(st.just(m), st.sets(st.integers(0, 2**m - 1), max_size=2**m - 1))
+    ))
+    @example((2, set()))
+    @example((3, set()))
+    @example((4, set()))
+    def test_matches_hnf_oracle_on_punctured_reed_muller(self, case):
+        m, punctured = case
+        generators = np.delete(reed_muller_1(m), sorted(punctured), axis=1)
+        points = coset_points(generators, np.zeros(generators.shape[1], np.uint8))
+        assert lattice_volume(points) == hnf_volume(points)
+
+    @pytest.mark.parametrize("m", range(2, 8))
+    def test_reed_muller_closed_form(self, m):
+        N = 2**m
+        points = coset_points(reed_muller_1(m), np.zeros(N, np.uint8))
+        expected = N + sum(math.comb(m, k) * (k - 1) for k in range(1, m + 1))
+        assert lattice_volume(points) == 2**expected
+
+    def test_square_criterion(self):
+        # V_U = 2^(2N - rho) exactly when dim C*C = N, on the oracle's numbers.
+        # Columns are distinct nonzero points of GF(2)^rho, so every code is
+        # non-degenerate, and C*C < GF(2)^N needs N > rho (rho + 1) / 2.
+        rng = np.random.default_rng(1717)
+        seen = set()
+        for _ in range(200):
+            rho = int(rng.integers(2, 5))
+            N = int(rng.integers(1, 2**rho))
+            columns = rng.choice(np.arange(1, 2**rho), size=N, replace=False)
+            generators = ((columns[None, :] >> np.arange(rho)[:, None]) & 1).astype(np.uint8)
+            basis = gf2.row_space_basis(generators)
+            points = coset_points(generators, rng.integers(0, 2, size=N, dtype=np.uint8))
+            volume = hnf_volume(points)
+            square_full = schur_square_dim(basis) == N
+            assert (volume == 2 ** (2 * N - len(basis))) == square_full
+            assert lattice_volume(points) == volume
+            seen.add(square_full)
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [[1, 1], [1, -1], [-1, 1]],  # 3 points
+            [[1, 1, 1], [-1, 1, 1], [1, -1, 1], [1, 1, -1]],  # rank 3, 4 points
+            [[1, 1], [-1, 1], [1, 1], [-1, 1]],  # repeated points
+            [[1, 1], [-1, 1], [1, 1], [-1, -1]],  # right count and rank, one repeat
+            [[1, 0], [-1, 0]],  # entries not +-1
+            [[2, 2], [-2, 2]],
+        ],
+    )
+    def test_not_a_coset_rejected(self, points):
+        with pytest.raises(ValueError):
+            lattice_volume(np.array(points))
+
+    def test_degenerate_exactly_when_cov_is_not_identity(self):
+        rng = np.random.default_rng(1919)
+        seen = set()
+        for _ in range(80):
+            n = int(rng.integers(1, 6))
+            N = int(rng.integers(1, 7))
+            for ops in (
+                random_commuting_set(n, N, rng),
+                x_type_set(n + 1, min(N, 2 ** (n + 1) - 1), rng),
+                degenerate_x_type_set(n, N, rng),
+            ):
+                dist = build_distribution(ops)
+                degenerate = moments(dist).degenerate
+                assert (lattice_volume(support_points(dist)) is None) == degenerate
+                seen.add(degenerate)
+        assert seen == {True, False}
+
 
 class TestCltFramePotential:
     def test_worked_closed_form(self):
@@ -146,6 +260,32 @@ class TestCltFramePotential:
         assert clt_frame_potential(64, 1, 5, 9.0) == pytest.approx(
             c * 9.0**-2.5, rel=1e-12
         )
+
+    def test_direct_form_keeps_its_value(self):
+        # Wherever (4 pi t)^N and V fit a float, the direct form is used as is.
+        for volume, N, t in [(64, 5, 1.0), (2**40, 30, 3.0), (2**900, 280, 1.0), (2**1000, 1, 2.0)]:
+            direct = volume / math.sqrt((4 * math.pi * t) ** N)
+            assert clt_frame_potential(volume, 1, N, t) == direct
+        assert clt_coefficient(2**900, 1, 280) == 2**900 / math.sqrt((4 * math.pi) ** 280)
+
+    def test_log_form_where_the_direct_form_overflows(self):
+        # (4 pi)^300 and 2^1100 both overflow a float; the quotient does not.
+        expected = math.exp(1100 * math.log(2) - 150 * math.log(4 * math.pi))
+        assert clt_coefficient(2**1100, 1, 300) == pytest.approx(expected, rel=1e-12)
+        assert clt_frame_potential(2**1100, 1, 300, 1.0) == pytest.approx(expected, rel=1e-12)
+        assert clt_frame_potential(2**1100, 1, 300, 4.0) == pytest.approx(
+            expected * 4.0**-150, rel=1e-12
+        )
+        # V itself overflows a float while (4 pi)^N does not.
+        assert clt_coefficient(2**1030, 1, 100) == pytest.approx(
+            math.exp(1030 * math.log(2) - 50 * math.log(4 * math.pi)), rel=1e-12
+        )
+
+    def test_beyond_float_range_raises(self):
+        with pytest.raises(FloatRangeError, match="CLT coefficient"):
+            clt_coefficient(2**2000, 1, 300)
+        with pytest.raises(FloatRangeError, match="CLT frame potential at t=1"):
+            clt_frame_potential(2**2000, 1, 300, 1)
 
 
 class TestExactFramePotential:
