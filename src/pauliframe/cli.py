@@ -8,6 +8,12 @@ string such as III is a parse error.
 Exact dyadic quantities are serialized as {"num": p, "den": q}; floats
 as plain JSON numbers.  Output is byte-identical for identical
 (input, flags, seed).
+
+The JSON is written by ``_json``, which gives exactly the bytes of
+``json.dumps(doc, indent=2)``.  json.dumps is not used because CPython
+skips its C encoder whenever ``indent`` is set, and its pure-Python
+encoder spends most of a wide report on the N x N covariance entries;
+``_json`` renders each distinct {"num", "den"} entry and gate once.
 """
 
 from __future__ import annotations
@@ -15,9 +21,10 @@ from __future__ import annotations
 import argparse
 import functools
 import io
-import json
+import math
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -88,8 +95,11 @@ def _rational(value) -> dict:
     return {"num": f.numerator, "den": f.denominator}
 
 
+_BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
 def _bitstring(bits) -> str:
-    return "".join(str(int(b)) for b in bits)
+    return bits.astype(np.uint8, copy=False).tobytes().translate(_BIT_DIGITS).decode()
 
 
 def _gate_json(gate) -> dict:
@@ -119,8 +129,8 @@ def _law_fields(dist, mom) -> dict:
         "rank_AR": dist.rho,
         "support_size": dist.support_size,
         "pmf_value": _rational(dist.pmf_value),
-        "mean": [_rational(int(v)) for v in mom.mean],
-        "covariance": [[_rational(int(v)) for v in row] for row in mom.covariance],
+        "mean": [{"num": v, "den": 1} for v in mom.mean.tolist()],
+        "covariance": [[{"num": v, "den": 1} for v in row] for row in mom.covariance.tolist()],
         "det_cov": _rational(mom.det_cov),
     }
 
@@ -222,9 +232,64 @@ def _format_text(doc: dict) -> str:
     return "\n".join(lines)
 
 
+_MEMO_TYPES = frozenset((int, str))
+
+
+def _json(value, memo: dict, level: int = 0) -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, for what a doc holds.
+
+    A doc holds dicts with str keys, lists, str, int, float, bool and
+    None.  Anything else raises TypeError, as json.dumps does for a numpy
+    integer; so do a tuple and a non-str key, which a doc never holds.
+
+    A dict whose values are all exact int or str is rendered once per
+    distinct value and depth: ``memo`` maps (depth, items) to its text.
+    No other dict is looked up or stored, and an int never equals a str,
+    so the items fix the value types: 1, True, 1.0, 0.0 and -0.0 never
+    share an entry.
+    """
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        memoize = _MEMO_TYPES.issuperset(map(type, value.values()))
+        key = (level, tuple(value.items())) if memoize else None
+        text = memo.get(key)
+        if text is None:
+            inner = "\n" + "  " * (level + 1)
+            items = ("," + inner).join([
+                encode_basestring_ascii(k) + ": " + _json(v, memo, level + 1)
+                for k, v in value.items()
+            ])
+            text = "{" + inner + items + "\n" + "  " * level + "}"
+            if key is not None:
+                memo[key] = text
+        return text
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        inner = "\n" + "  " * (level + 1)
+        items = ("," + inner).join([_json(v, memo, level + 1) for v in value])
+        return "[" + inner + items + "\n" + "  " * level + "]"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _emit(doc: dict, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(doc, indent=2))
+        print(_json(doc, {}))
     else:
         print(_format_text(doc))
 

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pauliframe import cli, oracle
 from pauliframe.cli import main
@@ -365,3 +367,79 @@ class TestLargeInputs:
         assert code == 4
         assert out == ""
         assert "resource guard" in err and "CLT coefficient" in err
+
+
+json_trees = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=4), children, max_size=4),
+    max_leaves=30,
+)
+
+
+class TestJsonEmitter:
+    """cli._json against json.dumps(indent=2), byte for byte."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(json_trees)
+    def test_matches_stdlib_on_random_trees(self, value):
+        assert cli._json(value, {}) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value", [
+        [{"a": 1}, {"a": True}, {"a": 1.0}],
+        [{"a": True}, {"a": 1}, {"a": 1.0}],
+        [{"x": 0.0}, {"x": -0.0}],
+        [{"x": 1}, {"x": "1"}, {"x": [1]}],
+        [float("nan"), float("inf"), -float("inf"), {"v": float("nan")}],
+        {"big": 2**80, "neg": -(2**80), "pair": {"num": 2**80, "den": 1}},
+        {"\u00e9\n\t\"\\\x00\U0001f600": "caf\u00e9\x1f\u2028\U0001f600"},
+        [{}, [], {"e": {}, "l": []}],
+        {"a": {"num": 1, "den": 2}, "b": [{"num": 1, "den": 2}], "c": [[{"num": 1, "den": 2}]]},
+        {"g": "H", "q": 0},
+        [],
+        {},
+        "text",
+        -0.0,
+        [np.float64(0.1), True, False, None],
+    ])
+    def test_matches_stdlib_by_hand(self, value):
+        assert cli._json(value, {}) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value", [np.int64(3), {"a": np.int64(3)}, [{1, 2}], [object()]])
+    def test_rejects_other_types(self, value):
+        with pytest.raises(TypeError) as expected:
+            json.dumps(value, indent=2)
+        with pytest.raises(TypeError) as raised:
+            cli._json(value, {})
+        assert str(raised.value) == str(expected.value)
+
+    @pytest.mark.parametrize("value", [{1: "a"}, (1, 2), [{"a": (1,)}]])
+    def test_rejects_what_a_doc_never_holds(self, value):
+        with pytest.raises(TypeError):
+            cli._json(value, {})
+
+    def test_report_does_not_call_json_dumps(self, capsys, example_file, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("json.dumps called")
+
+        monkeypatch.setattr(json, "dumps", refuse)
+        code, out, _ = run(capsys, "report", example_file, "--t", "1")
+        assert code == 0 and out.startswith("{")
+
+    @pytest.mark.parametrize("command, flags", [
+        ("report", ["--t", "1", "--t", "10"]),
+        ("distribution", []),
+        ("diagonalize", []),
+        ("frame-potential", []),
+        ("check", []),
+    ])
+    def test_wide_output_round_trips(self, capsys, tmp_path, command, flags):
+        # X-type rows 1..64 on 64 qubits: N = n = 64 and rho = 7.
+        path = x_rows_file(tmp_path / "wide64.txt", 64, range(1, 65))
+        code, out, _ = run(capsys, command, path, *flags)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["N"] == doc["n"] == 64
+        if "rank_AR" in doc:
+            assert doc["rank_AR"] == 7
+        assert out == json.dumps(doc, indent=2) + "\n"
