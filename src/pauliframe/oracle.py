@@ -3,9 +3,10 @@
 Everything here recomputes pipeline quantities from first principles:
 statevectors by direct gate application, Pauli operators as signed
 permutations of basis indices, the pmf of K by tallying amplitudes, and
-the frame potential by Monte-Carlo integration of the fidelity.  Qubit 0
-is the leftmost letter of a Pauli string and the most significant bit of
-a basis index.
+the frame potential by Monte-Carlo integration of the fidelity, with
+U(theta)|0...0> held on the 2**rho basis states it can reach.  Qubit 0 is
+the leftmost letter of a Pauli string and the most significant bit of a
+basis index.
 """
 
 from __future__ import annotations
@@ -18,18 +19,16 @@ import numpy as np
 from .pauli import CliffordCircuit, PauliString
 
 MAX_QUBITS = 10
+_BLOCK = 1 << 14  # amplitudes per state array in one Monte-Carlo block
 
-_H = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2)
-_S = np.array([[1, 0], [0, 1j]], dtype=np.complex128)
-_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
-_CNOT = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
-    dtype=np.complex128,
-)
-_CZ = np.diag([1, 1, 1, -1]).astype(np.complex128)
-
-_GATE_MATRICES = {"H": _H, "S": _S, "X": _X, "Z": _Z, "CNOT": _CNOT, "CZ": _CZ}
+_GATE_MATRICES = {
+    "H": np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2),
+    "S": np.diag([1, 1j]),
+    "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
+    "Z": np.diag([1, -1]).astype(np.complex128),
+    "CNOT": np.eye(4, dtype=np.complex128)[[0, 1, 3, 2]],
+    "CZ": np.diag([1, 1, 1, -1]).astype(np.complex128),
+}
 
 
 class OracleGuardError(RuntimeError):
@@ -48,8 +47,7 @@ def _apply_gate(vec: np.ndarray, gate, n: int) -> np.ndarray:
     u = _GATE_MATRICES[gate.name]
     k = len(gate.qubits)
     psi = np.moveaxis(psi, gate.qubits, range(k))
-    head = psi.shape[:k]
-    psi = (u @ psi.reshape(2**k, -1)).reshape(head + psi.shape[k:])
+    psi = (u @ psi.reshape(2**k, -1)).reshape(psi.shape)
     psi = np.moveaxis(psi, range(k), gate.qubits)
     return psi.reshape((2**n,) + batch)
 
@@ -89,20 +87,15 @@ def bits_to_index(u):
 
 def bits_matrix(n: int) -> np.ndarray:
     """(2**n, n) matrix whose row x is the bit label of basis index x."""
-    idx = np.arange(2**n, dtype=np.int64)
     shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
-    return (idx[:, None] >> shifts) & 1
+    return (np.arange(2**n, dtype=np.int64)[:, None] >> shifts) & 1
 
 
 def pauli_permutation(p: PauliString) -> tuple[np.ndarray, np.ndarray]:
     """Signed-permutation form: P|x> = phases[x] |targets[x]>."""
     _check_guard(p.n)
-    n = p.n
-    dim = 2**n
-    xint = bits_to_index(p.x)
-    idx = np.arange(dim, dtype=np.int64)
-    targets = idx ^ xint
-    z_parity = (bits_matrix(n) @ p.z.astype(np.int64)) % 2
+    targets = np.arange(2**p.n, dtype=np.int64) ^ bits_to_index(p.x)
+    z_parity = (bits_matrix(p.n) @ p.z.astype(np.int64)) % 2
     n_y = int((p.x & p.z).sum())
     phases = p.sign * (1j**n_y) * ((-1.0) ** z_parity)
     return targets, phases.astype(np.complex128)
@@ -112,10 +105,7 @@ def apply_pauli(p: PauliString, vec: np.ndarray) -> np.ndarray:
     """P @ vec for a state (2**n,) or batch (2**n, b)."""
     targets, phases = pauli_permutation(p)
     out = np.empty_like(vec)
-    if vec.ndim == 1:
-        out[targets] = phases * vec
-    else:
-        out[targets] = phases[:, None] * vec
+    out[targets] = (phases if vec.ndim == 1 else phases[:, None]) * vec
     return out
 
 
@@ -171,24 +161,30 @@ def brute_pmf_K(
     return pmf
 
 
-def _rotation_states(
-    perms: list[tuple[np.ndarray, np.ndarray]],
-    thetas: np.ndarray,
-    n: int,
-) -> np.ndarray:
-    """prod_j exp(i theta_j H_j) |0...0> for a batch of parameter vectors.
+def _reachable(perms) -> np.ndarray:
+    """The 2**rho basis states U(theta)|0...0> reaches, in increasing order:
+    the closure of {0} under every x -> targets[x] = x ^ (X mask of H_j)."""
+    rows = np.zeros(1, dtype=np.int64)
+    for targets, _ in perms:
+        rows = np.union1d(rows, targets[rows])
+    return rows
 
-    thetas has shape (batch, N); returns states of shape (2**n, batch).
-    Each step updates the state in place next to one batch-sized array:
-    H_j v is gathered through ``targets``, which is x -> x ^ (x mask) and
-    so its own inverse.
-    """
-    batch = thetas.shape[0]
-    state = np.zeros((2**n, batch), dtype=np.complex128)
+
+def _rotation_steps(perms, rows: np.ndarray) -> list:
+    """Each H_j as a (gather index, phase column) pair on ``rows``."""
+    return [
+        (np.searchsorted(rows, targets[rows]), phases[targets[rows], None])
+        for targets, phases in perms
+    ]
+
+
+def _evolve(steps, thetas: np.ndarray) -> np.ndarray:
+    """prod_j exp(i theta_j H_j)|0...0> on steps' rows, a column per theta row."""
+    state = np.zeros((len(steps[0][0]), thetas.shape[0]), dtype=np.complex128)
     state[0] = 1.0
-    for j, (targets, phases) in enumerate(perms):
-        hv = state[targets]
-        hv *= phases[targets][:, None]
+    for j, (gather, phases) in enumerate(steps):
+        hv = state[gather]
+        hv *= phases
         hv *= 1j * np.sin(thetas[:, j])
         state *= np.cos(thetas[:, j])
         state += hv
@@ -197,30 +193,30 @@ def _rotation_states(
 
 def fidelity(ops: list[PauliString], theta, theta_prime) -> float:
     """|<0| U(theta)† U(theta') |0>|^2 by direct statevector evolution."""
-    n = ops[0].n
-    _check_guard(n)
+    _check_guard(ops[0].n)
     theta = np.asarray(theta, dtype=np.float64).reshape(1, -1)
     theta_prime = np.asarray(theta_prime, dtype=np.float64).reshape(1, -1)
     if theta.shape[1] != len(ops) or theta_prime.shape[1] != len(ops):
         raise ValueError("parameter vector length must equal the gate count")
     perms = [pauli_permutation(op) for op in ops]
-    s1 = _rotation_states(perms, theta, n)[:, 0]
-    s2 = _rotation_states(perms, theta_prime, n)[:, 0]
-    return float(np.abs(np.vdot(s1, s2)) ** 2)
+    steps = _rotation_steps(perms, _reachable(perms))
+    overlap = np.vdot(_evolve(steps, theta), _evolve(steps, theta_prime))
+    return float(np.abs(overlap) ** 2)
 
 
 def mc_frame_potential(
-    ops: list[PauliString],
-    t: int,
-    samples: int,
-    seed: int,
+    ops: list[PauliString], t: int, samples: int, seed: int
 ) -> tuple[float, float]:
     """Monte-Carlo estimate of the frame potential and its standard error.
 
-    Uniform draws from [-pi, pi]^(2N) using a counter-based Philox stream
-    keyed by the seed, so results are reproducible.  Samples are taken in
-    batches of min(2**14, 2**22 / 2**n), so a batch of states holds at most
-    2**22 amplitudes whatever n is.
+    Uniform draws from [-pi, pi]^(2N) come from a Philox stream keyed by
+    the seed, in batches of min(2**14, 2**22 / 2**n) samples, each summed
+    with math.fsum.  States live on the 2**rho reachable basis states, so
+    a sample costs N * 2**rho work, in blocks of about _BLOCK amplitudes
+    and two or more columns, which numpy sums row by row: the floats equal
+    those of all 2**n rows, as the others hold zeros.  numpy sums a lone
+    column pairwise and rounds a one-element in-place product apart, so a
+    one-sample batch keeps all 2**n rows.
     """
     if samples <= 0:
         raise ValueError("sample count must be positive")
@@ -228,24 +224,28 @@ def mc_frame_potential(
     _check_guard(n)
     rng = np.random.Generator(np.random.Philox(key=seed))
     perms = [pauli_permutation(op) for op in ops]
+    rows = _reachable(perms)
+    cols = max(2, _BLOCK // len(rows))
     num = len(ops)
-    total = 0.0
-    total_sq = 0.0
+    total = total_sq = 0.0
     batch = min(1 << 14, (1 << 22) >> n)
     done = 0
     while done < samples:
         b = min(batch, samples - done)
         draws = rng.uniform(-math.pi, math.pi, size=(b, 2 * num))
-        s1 = _rotation_states(perms, draws[:, :num], n)
-        s2 = _rotation_states(perms, draws[:, num:], n)
-        np.conjugate(s1, out=s1)
-        s1 *= s2
-        overlap = np.abs(np.sum(s1, axis=0)) ** 2
+        steps = _rotation_steps(perms, rows if b > 1 else np.arange(2**n))
+        overlap = np.empty(b)
+        blocks = max(1, b // cols)
+        for k in range(blocks):
+            lo, hi = b * k // blocks, b * (k + 1) // blocks
+            prod = _evolve(steps, draws[lo:hi, :num])
+            np.conjugate(prod, out=prod)
+            prod *= _evolve(steps, draws[lo:hi, num:])
+            overlap[lo:hi] = np.abs(np.sum(prod, axis=0)) ** 2
         vals = overlap**t
         total += math.fsum(vals.tolist())
         total_sq += math.fsum((vals**2).tolist())
         done += b
     mean = total / samples
     var = max(total_sq / samples - mean**2, 0.0)
-    stderr = math.sqrt(var / samples)
-    return mean, stderr
+    return mean, math.sqrt(var / samples)

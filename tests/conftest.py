@@ -153,3 +153,48 @@ def hnf_volume(points) -> int | None:
     if diag is None:
         return None
     return abs(math.prod(diag))
+
+
+def mc_frame_potential_dense(ops: list[PauliString], t: int, samples: int, seed: int):
+    """Monte-Carlo F(t) evolved on all 2**n basis states, two states per batch.
+
+    The test oracle for ``oracle.mc_frame_potential``, which evolves only
+    the basis states reachable from |0...0> in cache-sized blocks and must
+    return the same floats.
+    """
+    from pauliframe.oracle import pauli_permutation
+
+    def rotation_states(perms, thetas, n):
+        state = np.zeros((2**n, thetas.shape[0]), dtype=np.complex128)
+        state[0] = 1.0
+        for j, (targets, phases) in enumerate(perms):
+            hv = state[targets]
+            hv *= phases[targets][:, None]
+            hv *= 1j * np.sin(thetas[:, j])
+            state *= np.cos(thetas[:, j])
+            state += hv
+        return state
+
+    n = ops[0].n
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    perms = [pauli_permutation(op) for op in ops]
+    num = len(ops)
+    total = 0.0
+    total_sq = 0.0
+    batch = min(1 << 14, (1 << 22) >> n)
+    done = 0
+    while done < samples:
+        b = min(batch, samples - done)
+        draws = rng.uniform(-math.pi, math.pi, size=(b, 2 * num))
+        s1 = rotation_states(perms, draws[:, :num], n)
+        s2 = rotation_states(perms, draws[:, num:], n)
+        np.conjugate(s1, out=s1)
+        s1 *= s2
+        overlap = np.abs(np.sum(s1, axis=0)) ** 2
+        vals = overlap**t
+        total += math.fsum(vals.tolist())
+        total_sq += math.fsum((vals**2).tolist())
+        done += b
+    mean = total / samples
+    var = max(total_sq / samples - mean**2, 0.0)
+    return mean, math.sqrt(var / samples)

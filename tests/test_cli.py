@@ -180,6 +180,19 @@ class TestSubcommands:
                          "--mc-samples", "20000", "--seed", "3")
         assert out1 == out2
 
+    def test_mc_at_ten_qubits_agrees_with_exact(self, capsys, tmp_path):
+        # X-type rows 1..10 over the first 4 of 10 qubits: N = n = 10, rho = 4.
+        path = tmp_path / "mc10.txt"
+        path.write_text("\n".join(
+            "".join("XI"[not (j >> i) & 1] if i < 4 else "I" for i in range(10))
+            for j in range(1, 11)
+        ) + "\n")
+        code, out, _ = run(capsys, "frame-potential", str(path), "--t", "2",
+                           "--exact", "--mc-samples", "20000", "--seed", "3")
+        assert code == 0
+        (entry,) = json.loads(out)["values"]
+        assert abs(entry["mc"] - entry["exact"]) <= 5 * entry["mc_stderr"]
+
 
 _PAULI_MATRICES = {
     "I": np.eye(2),

@@ -5,22 +5,92 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pauliframe import CliffordCircuit, CliffordGate, parse_pauli
+from pauliframe import (
+    CliffordCircuit,
+    CliffordGate,
+    PauliString,
+    build_distribution,
+    conjugate_by_circuit,
+    gf2,
+    parse_pauli,
+)
 from pauliframe.oracle import (
     MAX_QUBITS,
     OracleGuardError,
+    _BLOCK,
+    _reachable,
     amplitudes_squared,
     apply_pauli,
+    bits_to_index,
     dense_conjugation_check,
     dense_state_from_circuit,
     fidelity,
     mc_frame_potential,
     pauli_matrix,
+    pauli_permutation,
     unitary_from_circuit,
 )
 
-from conftest import random_clifford_circuit, random_commuting_set
+from conftest import (
+    mc_frame_potential_dense,
+    random_clifford_circuit,
+    random_commuting_set,
+)
+
+
+def ranked_commuting_set(n: int, rho: int, extra: int, rng) -> list[PauliString]:
+    """rho + extra commuting signed strings on n qubits, X-block of rank rho.
+
+    Z-type rows whose first rho are Z on qubit q < rho (plus Z letters on
+    qubits >= rho) become X letters on the qubits < rho under H there; a
+    random {CNOT, CZ, S} circuit then mixes in Y and Z letters and keeps
+    the rank of the X-block.
+    """
+    z = rng.integers(0, 2, size=(rho + extra, n)).astype(np.uint8)
+    z[:rho, :rho] = np.eye(rho, dtype=np.uint8)
+    for row in z:
+        if not row.any():
+            row[rng.integers(n)] = 1
+    gates = [CliffordGate.h(q) for q in range(rho)]
+    for _ in range(3 * n):
+        a, b = (int(q) for q in rng.integers(n, size=2))
+        if a == b:
+            gates.append(CliffordGate.s(a))
+        else:
+            gates.append((CliffordGate.cnot, CliffordGate.cz)[rng.integers(2)](a, b))
+    w = CliffordCircuit(n, tuple(gates))
+    signs = rng.choice([-1, 1], size=len(z))
+    zeros = np.zeros(n, dtype=np.uint8)
+    return [
+        conjugate_by_circuit(PauliString(n, zeros, row, int(sign)), w)
+        for row, sign in zip(z, signs)
+    ]
+
+
+def mc_terms(engine, *args):
+    """engine(*args) and every list it hands to math.fsum.
+
+    The lists hold each sample's |overlap|**(2t) and its square, so two
+    engines compared this way agree sample by sample, not only after the
+    rounding of the mean.
+    """
+    terms = []
+    fsum = math.fsum
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(math, "fsum", lambda xs: terms.append(xs) or fsum(xs))
+        return engine(*args), terms
+
+
+@st.composite
+def commuting_sets(draw, max_n: int = 7):
+    n = draw(st.integers(1, max_n))
+    rho = draw(st.integers(0, n))
+    extra = draw(st.integers(0 if rho else 1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return ranked_commuting_set(n, rho, extra, rng)
 
 
 class TestDenseState:
@@ -192,3 +262,84 @@ class TestMonteCarlo:
             tracemalloc.stop()
         assert peak < 5 * (1 << 22) * 16
         assert abs(est - 1 / 2) < 3 * err  # F(1) = E cos^2 = 1/2
+
+
+class TestReachableRows:
+    """The Monte-Carlo engine evolves only the basis states U(theta)|0...0>
+    reaches, in blocks; it must give the floats of evolving all 2**n rows."""
+
+    def test_ranked_sets_have_the_requested_rank(self):
+        rng = np.random.default_rng(12)
+        for n in range(1, 8):
+            for rho in range(n + 1):
+                ops = ranked_commuting_set(n, rho, 2, rng)
+                assert gf2.rank(np.stack([op.x for op in ops])) == rho
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        commuting_sets(),
+        st.one_of(st.sampled_from([1, 2, 3]), st.integers(4, 2500)),
+        st.integers(1, 4),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_equals_the_all_rows_engine(self, ops, samples, t, seed):
+        args = (ops, t, samples, seed)
+        assert mc_terms(mc_frame_potential, *args) == mc_terms(
+            mc_frame_potential_dense, *args
+        )
+
+    @pytest.mark.parametrize("rho", [2, 5, 7])
+    def test_one_sample_past_a_block(self, rho):
+        # A block holds _BLOCK / 2**rho samples; a lone leftover sample
+        # must not form a one-column block.
+        ops = ranked_commuting_set(7, rho, 1, np.random.default_rng(rho))
+        for samples in ((_BLOCK >> rho) + 1, 3 * (_BLOCK >> rho) + 1):
+            args = (ops, 2, samples, rho)
+            assert mc_terms(mc_frame_potential, *args) == mc_terms(
+                mc_frame_potential_dense, *args
+            )
+
+    def test_z_only_set_reaches_only_zero(self):
+        ops = [parse_pauli(s) for s in ("ZII", "-IZI", "ZZZ", "-IIZ")]
+        assert _reachable([pauli_permutation(op) for op in ops]).tolist() == [0]
+        for samples in (1, 2, 5, (1 << 14) + 1):
+            args = (ops, 3, samples, samples)
+            got = mc_terms(mc_frame_potential, *args)
+            assert got == mc_terms(mc_frame_potential_dense, *args)
+            assert got[0][0] == pytest.approx(1.0, abs=1e-12)
+
+    def test_equals_the_all_rows_engine_across_a_draw_batch(self):
+        # At n = 8 a draw batch is 2**14 samples: this run takes one full
+        # batch of 64 blocks and a second batch of 37 samples.
+        ops = ranked_commuting_set(8, 6, 2, np.random.default_rng(2024))
+        args = (ops, 2, (1 << 14) + 37, 17)
+        assert mc_terms(mc_frame_potential, *args) == mc_terms(
+            mc_frame_potential_dense, *args
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(commuting_sets(max_n=8))
+    def test_rows_are_the_row_space_of_the_x_block(self, ops):
+        n = ops[0].n
+        rows = _reachable([pauli_permutation(op) for op in ops])
+        basis = gf2.row_space_basis(np.stack([op.x for op in ops]))
+        span = bits_to_index(gf2.coset(basis, np.zeros(n, dtype=np.uint8)))
+        assert rows.tolist() == np.sort(span).tolist()
+        assert len(rows) == build_distribution(ops).support_size
+
+    def test_memory_at_max_qubits_full_rank(self):
+        # X on each of 10 qubits: rho = 10 and every row is reachable.  A
+        # draw batch is 4096 samples, whose two 2**22-amplitude state
+        # batches took 64 MiB each when evolved whole.
+        ops = [
+            parse_pauli("I" * q + "X" + "I" * (MAX_QUBITS - 1 - q))
+            for q in range(MAX_QUBITS)
+        ]
+        tracemalloc.start()
+        try:
+            est, err = mc_frame_potential(ops, 1, 4096 + 3, seed=6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
+        assert abs(est - 2.0**-MAX_QUBITS) < 5 * err  # F(1) = (E cos^2)^10
