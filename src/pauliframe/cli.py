@@ -139,11 +139,13 @@ def _frame_fields(ops, dist, mom, t_values, exact, mc_samples, seed) -> dict:
     """V_U, the CLT coefficient and the frame-potential values.
 
     A degenerate law (Cov != I) has no full-rank lattice, so V_U is
-    computed only for the others.
+    computed only for the others.  One Monte-Carlo run serves every t; it
+    starts where the first t would, so a guard fires in the same order.
     """
     degenerate = mom.degenerate
     vol = None if degenerate else lattice.lattice_volume(support_points(dist))
     values = []
+    mc = None
     for t in t_values:
         entry = {"t": t}
         entry["clt"] = (
@@ -154,9 +156,9 @@ def _frame_fields(ops, dist, mom, t_values, exact, mc_samples, seed) -> dict:
         if exact:
             entry["exact"] = lattice.exact_frame_potential(dist, t)
         if mc_samples > 0:
-            est, err = oracle.mc_frame_potential(ops, t, mc_samples, seed)
-            entry["mc"] = est
-            entry["mc_stderr"] = err
+            if mc is None:
+                mc = iter(oracle.mc_frame_potential(ops, t_values, mc_samples, seed))
+            entry["mc"], entry["mc_stderr"] = next(mc)
         values.append(entry)
     return {
         "V_U": "degenerate" if degenerate else vol,

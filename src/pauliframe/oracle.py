@@ -3,10 +3,14 @@
 Everything here recomputes pipeline quantities from first principles:
 statevectors by direct gate application, Pauli operators as signed
 permutations of basis indices, the pmf of K by tallying amplitudes, and
-the frame potential by Monte-Carlo integration of the fidelity, with
-U(theta)|0...0> held on the 2**rho basis states it can reach.  Qubit 0 is
-the leftmost letter of a Pauli string and the most significant bit of a
-basis index.
+the frame potential by Monte-Carlo integration of the fidelity.  Each
+rotation exp(i theta_j H_j) maps |y> onto |y> and +-|y ^ x_j>, so after j
+steps U(theta)|0...0> lives on the 2**rank(x_1..x_j) basis states spanned
+by the first j X masks; the Monte-Carlo engine evolves it on those rows
+only, in growth order: about 2 * 2**rho rows per state for a full-rank
+set, not N * 2**rho, with the floats of evolving all 2**n rows.  Qubit 0
+is the leftmost letter of a Pauli string and the most significant bit of
+a basis index.
 """
 
 from __future__ import annotations
@@ -122,14 +126,18 @@ def dense_conjugation_check(op: PauliString, w: CliffordCircuit) -> np.ndarray:
 
 
 def dense_diagonal(op: PauliString, w: CliffordCircuit, wm=None) -> np.ndarray:
-    """Diagonal of W H W† as exact +-1 integers; raises if not diagonal."""
+    """Diagonal of W H W† as exact +-1 integers; raises if not diagonal.
+
+    W H W† = D exactly when W H = D W; column x of W H is phases[x] times
+    column targets[x] of W, and d is its row-wise inner product with W.
+    """
     if wm is None:
         wm = unitary_from_circuit(w)
-    m = wm @ apply_pauli(op, wm.conj().T)
-    off = m - np.diag(np.diag(m))
-    if np.abs(off).max() > 1e-9:
+    targets, phases = pauli_permutation(op)
+    wp = wm[:, targets] * phases
+    diag = np.einsum("ij,ij->i", wp, wm.conj())
+    if np.abs(wp - diag[:, None] * wm).max() > 1e-9:
         raise ValueError("conjugated operator is not diagonal")
-    diag = np.diag(m)
     if np.abs(diag.imag).max() > 1e-9 or np.abs(np.abs(diag.real) - 1).max() > 1e-9:
         raise ValueError("diagonal entries are not +-1")
     return np.rint(diag.real).astype(np.int64)
@@ -161,91 +169,136 @@ def brute_pmf_K(
     return pmf
 
 
-def _reachable(perms) -> np.ndarray:
-    """The 2**rho basis states U(theta)|0...0> reaches, in increasing order:
-    the closure of {0} under every x -> targets[x] = x ^ (X mask of H_j)."""
+def _plan(perms) -> tuple[np.ndarray, list]:
+    """The 2**rho basis states U(theta)|0...0> reaches, in growth order, and
+    one step per H_j.  Row k is the XOR of the masks that grew the span,
+    picked by the bits of k.  A mask m outside the span of the first 2**r
+    rows gives (None, f), writing rows 2**r.. from rows ..2**r; one at row
+    kappa gives (axes, f), the permutation k -> k ^ kappa of the first 2**r
+    rows as a flip of ``axes`` on their (2,)*r view.  f is the column
+    i * phase[y ^ m] over the rows y written: +-1 or +-i."""
     rows = np.zeros(1, dtype=np.int64)
-    for targets, _ in perms:
-        rows = np.union1d(rows, targets[rows])
-    return rows
+    where = np.full(len(perms[0][0]), -1)
+    where[0] = 0
+    steps = []
+    for targets, phases in perms:
+        m, r = int(targets[0]), len(rows).bit_length() - 1
+        kappa = int(where[m])
+        if kappa < 0:
+            steps.append((None, 1j * phases[rows, None, None]))
+            rows = np.concatenate([rows, rows ^ m])
+            where[rows[1 << r :]] = np.arange(1 << r, 2 << r)
+        else:
+            axes = tuple(r - 1 - b for b in range(r) if kappa >> b & 1)
+            steps.append((axes, 1j * phases[rows ^ m, None, None]))
+    return rows, steps
 
 
-def _rotation_steps(perms, rows: np.ndarray) -> list:
-    """Each H_j as a (gather index, phase column) pair on ``rows``."""
-    return [
-        (np.searchsorted(rows, targets[rows]), phases[targets[rows], None])
-        for targets, phases in perms
-    ]
+def _reachable(perms) -> np.ndarray:
+    """The span of the X masks, the rows U(theta)|0...0> reaches, sorted."""
+    return np.sort(_plan(perms)[0])
 
 
-def _evolve(steps, thetas: np.ndarray) -> np.ndarray:
-    """prod_j exp(i theta_j H_j)|0...0> on steps' rows, a column per theta row."""
-    state = np.zeros((len(steps[0][0]), thetas.shape[0]), dtype=np.complex128)
+def _evolve(steps, thetas: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """prod_j exp(i theta_j H_j)|0...0> for thetas (N, 2, w), held in
+    work[0] of work (2, 2**rho, 2, w) in plan order; work[1] is scratch.
+    A doubling step writes hi = (lo * s) * f and then lo *= c; a permutation
+    step adds flip(lo) * s * f to lo *= c.  cos and sin are complex with a
+    zero imaginary part, so no product casts, for <= _BLOCK angles at once."""
+    state, tmp = work
+    w = thetas.shape[2]
+    chunk = max(1, _BLOCK // (2 * w))
+    trig = np.zeros((2, min(chunk, len(steps)), 2, w), dtype=np.complex128)
     state[0] = 1.0
-    for j, (gather, phases) in enumerate(steps):
-        hv = state[gather]
-        hv *= phases
-        hv *= 1j * np.sin(thetas[:, j])
-        state *= np.cos(thetas[:, j])
-        state += hv
+    size = 1
+    for j, (axes, f) in enumerate(steps):
+        if j % chunk == 0:
+            part = thetas[j : j + chunk]
+            np.cos(part, out=trig[0, : len(part)].real)
+            np.sin(part, out=trig[1, : len(part)].real)
+        cos, sin = trig[:, j % chunk]
+        lo = state[:size]
+        if axes is None:
+            np.multiply(lo, sin, out=state[size : 2 * size])
+            state[size : 2 * size] *= f
+            lo *= cos
+            size *= 2
+        else:
+            cube = (2,) * (size.bit_length() - 1) + lo.shape[1:]
+            np.multiply(np.flip(lo.reshape(cube), axes), sin, out=tmp[:size].reshape(cube))
+            tmp[:size] *= f
+            lo *= cos
+            lo += tmp[:size]
     return state
 
 
 def fidelity(ops: list[PauliString], theta, theta_prime) -> float:
     """|<0| U(theta)† U(theta') |0>|^2 by direct statevector evolution."""
     _check_guard(ops[0].n)
-    theta = np.asarray(theta, dtype=np.float64).reshape(1, -1)
-    theta_prime = np.asarray(theta_prime, dtype=np.float64).reshape(1, -1)
-    if theta.shape[1] != len(ops) or theta_prime.shape[1] != len(ops):
+    theta, theta_prime = np.ravel(theta), np.ravel(theta_prime)
+    if len(theta) != len(ops) or len(theta_prime) != len(ops):
         raise ValueError("parameter vector length must equal the gate count")
-    perms = [pauli_permutation(op) for op in ops]
-    steps = _rotation_steps(perms, _reachable(perms))
-    overlap = np.vdot(_evolve(steps, theta), _evolve(steps, theta_prime))
-    return float(np.abs(overlap) ** 2)
+    thetas = np.stack([theta, theta_prime], axis=1).astype(np.float64)[..., None]
+    rows, steps = _plan([pauli_permutation(op) for op in ops])
+    psi = _evolve(steps, thetas, np.empty((2, len(rows), 2, 1), dtype=np.complex128))
+    order = np.argsort(rows)
+    return float(np.abs(np.vdot(psi[order, 0, 0], psi[order, 1, 0])) ** 2)
 
 
-def mc_frame_potential(
-    ops: list[PauliString], t: int, samples: int, seed: int
-) -> tuple[float, float]:
-    """Monte-Carlo estimate of the frame potential and its standard error.
+def mc_frame_potential(ops: list[PauliString], t, samples: int, seed: int):
+    """Monte-Carlo estimate of the frame potential and its standard error;
+    a sequence of t values shares one evolution and gives a list of pairs.
 
-    Uniform draws from [-pi, pi]^(2N) come from a Philox stream keyed by
-    the seed, in batches of min(2**14, 2**22 / 2**n) samples, each summed
-    with math.fsum.  States live on the 2**rho reachable basis states, so
-    a sample costs N * 2**rho work, in blocks of about _BLOCK amplitudes
-    and two or more columns, which numpy sums row by row: the floats equal
-    those of all 2**n rows, as the others hold zeros.  numpy sums a lone
-    column pairwise and rounds a one-element in-place product apart, so a
-    one-sample batch keeps all 2**n rows.
+    Draws from [-pi, pi]^(2N) come from a Philox stream keyed by the seed,
+    in batches of min(2**14, 2**22 / 2**n) samples, and each t sums each
+    batch's |overlap|**(2t) with math.fsum.  Blocks of about _BLOCK / 2**rho
+    samples evolve both states side by side (``_evolve``).  The floats are
+    those of all 2**n rows: an update is round(c a) + round(+-s a'), each
+    complex product in it has one nonzero term, so it is exact, FMA or not,
+    and only the sign of a zero, which never reaches |overlap|**2, can
+    differ.  conj(psi) psi' is numpy's in-place multiply on (rows, w) arrays
+    in increasing basis-index order, summed row by row as with the zero
+    rows in place; numpy sums a lone column pairwise, so a one-sample batch
+    is scattered onto all 2**n rows first.
     """
     if samples <= 0:
         raise ValueError("sample count must be positive")
     n = ops[0].n
     _check_guard(n)
+    t_values = (t,) if np.ndim(t) == 0 else tuple(t)
     rng = np.random.Generator(np.random.Philox(key=seed))
-    perms = [pauli_permutation(op) for op in ops]
-    rows = _reachable(perms)
-    cols = max(2, _BLOCK // len(rows))
-    num = len(ops)
-    total = total_sq = 0.0
+    rows, steps = _plan([pauli_permutation(op) for op in ops])
+    order, size, num = np.argsort(rows), len(rows), len(ops)
+    cols = max(2, _BLOCK // size)
+    sums = [[0.0, 0.0] for _ in t_values]
     batch = min(1 << 14, (1 << 22) >> n)
+    work = np.empty((2, 2 * size * min(2 * cols, batch)), dtype=np.complex128)
     done = 0
     while done < samples:
         b = min(batch, samples - done)
         draws = rng.uniform(-math.pi, math.pi, size=(b, 2 * num))
-        steps = _rotation_steps(perms, rows if b > 1 else np.arange(2**n))
+        thetas = draws.T.reshape(2, num, b).transpose(1, 0, 2)
         overlap = np.empty(b)
         blocks = max(1, b // cols)
         for k in range(blocks):
             lo, hi = b * k // blocks, b * (k + 1) // blocks
-            prod = _evolve(steps, draws[lo:hi, :num])
+            view = work[:, : 2 * size * (hi - lo)].reshape(2, size, 2, hi - lo)
+            psi = _evolve(steps, thetas[:, :, lo:hi], view)
+            if b > 1:
+                prod, other = view[1].reshape(2, size, hi - lo)
+                np.take(psi[:, 0], order, axis=0, out=prod, mode="clip")
+                np.take(psi[:, 1], order, axis=0, out=other, mode="clip")
+            else:
+                prod, other = np.zeros((2, 2**n, 1), dtype=np.complex128)
+                prod[rows], other[rows] = psi[:, 0], psi[:, 1]
             np.conjugate(prod, out=prod)
-            prod *= _evolve(steps, draws[lo:hi, num:])
+            prod *= other
             overlap[lo:hi] = np.abs(np.sum(prod, axis=0)) ** 2
-        vals = overlap**t
-        total += math.fsum(vals.tolist())
-        total_sq += math.fsum((vals**2).tolist())
+        for tv, acc in zip(t_values, sums):
+            vals = overlap**tv
+            acc[0] += math.fsum(vals.tolist())
+            acc[1] += math.fsum((vals**2).tolist())
         done += b
-    mean = total / samples
-    var = max(total_sq / samples - mean**2, 0.0)
-    return mean, math.sqrt(var / samples)
+    moments = [(total / samples, total_sq / samples) for total, total_sq in sums]
+    out = [(mean, math.sqrt(max(sq - mean**2, 0.0) / samples)) for mean, sq in moments]
+    return out[0] if np.ndim(t) == 0 else out

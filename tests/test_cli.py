@@ -171,6 +171,31 @@ class TestSubcommands:
         assert code == 0 and json.loads(out)["passed"] is True
         assert calls == {"unitary": 1, "diagonal": 5}
 
+    def test_verify_reports_a_circuit_that_does_not_diagonalize(
+        self, capsys, example_file, monkeypatch
+    ):
+        # With W taken as the identity, no non-Z operator is diagonal.
+        monkeypatch.setattr(oracle, "unitary_from_circuit", lambda w: np.eye(2**w.n, dtype=complex))
+        code, out, _ = run(capsys, "verify", example_file)
+        doc = json.loads(out)
+        assert code == 1 and doc["passed"] is False
+        assert "operator 0: conjugated operator is not diagonal" in doc["failures"]
+
+    def test_one_mc_evolution_serves_every_t(self, capsys, example_file, monkeypatch):
+        calls = []
+        evolve = oracle._evolve
+        monkeypatch.setattr(oracle, "_evolve", lambda *a: calls.append(1) or evolve(*a))
+        argv = ["frame-potential", example_file, "--mc-samples", "3000", "--seed", "5"]
+        docs = {}
+        for ts in ([2], [2, 3, 4], [3], [4]):
+            calls.clear()
+            code, out, _ = run(capsys, *argv, *(a for t in ts for a in ("--t", str(t))))
+            assert code == 0
+            docs[tuple(ts)] = (json.loads(out)["values"], len(calls))
+        (values, evolved), (alone, evolved_alone) = docs[(2, 3, 4)], docs[(2,)]
+        assert evolved == evolved_alone
+        assert values == alone + docs[(3,)][0] + docs[(4,)][0]
+
     def test_mc_deterministic_given_seed(self, capsys, tmp_path):
         path = tmp_path / "pair.txt"
         path.write_text("XX\nZZ\n")

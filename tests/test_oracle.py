@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import tracemalloc
 
 import numpy as np
@@ -13,19 +15,24 @@ from pauliframe import (
     CliffordGate,
     PauliString,
     build_distribution,
+    check_commuting_set,
     conjugate_by_circuit,
     gf2,
+    multiply,
     parse_pauli,
+    simultaneous_diagonalize,
 )
 from pauliframe.oracle import (
     MAX_QUBITS,
     OracleGuardError,
     _BLOCK,
+    _plan,
     _reachable,
     amplitudes_squared,
     apply_pauli,
     bits_to_index,
     dense_conjugation_check,
+    dense_diagonal,
     dense_state_from_circuit,
     fidelity,
     mc_frame_potential,
@@ -183,6 +190,26 @@ class TestConjugationCheck:
     def test_empty_circuit_z(self):
         m = dense_conjugation_check(parse_pauli("Z"), CliffordCircuit(1))
         assert np.allclose(m, np.diag([1, -1]))
+
+
+class TestDenseDiagonal:
+    def test_equals_the_dense_conjugation(self):
+        rng = np.random.default_rng(44)
+        for _ in range(12):
+            n = int(rng.integers(1, 6))
+            ops = random_commuting_set(n, int(rng.integers(1, 5)), rng)
+            w = simultaneous_diagonalize(ops).circuit
+            for op in ops:
+                m = dense_conjugation_check(op, w)
+                assert dense_diagonal(op, w).tolist() == np.rint(np.diag(m).real).tolist()
+
+    def test_raises_when_the_circuit_does_not_diagonalize(self):
+        w = simultaneous_diagonalize([parse_pauli("XX"), parse_pauli("ZZ")]).circuit
+        for text in ("XI", "IY", "XZ"):
+            with pytest.raises(ValueError, match="not diagonal"):
+                dense_diagonal(parse_pauli(text), w)
+        with pytest.raises(ValueError, match="not diagonal"):
+            dense_diagonal(parse_pauli("X"), CliffordCircuit(1))
 
 
 class TestFidelity:
@@ -343,3 +370,63 @@ class TestReachableRows:
             tracemalloc.stop()
         assert peak < 16 << 20
         assert abs(est - 2.0**-MAX_QUBITS) < 5 * err  # F(1) = (E cos^2)^10
+
+
+def assert_same_terms(ops, t, samples, seed):
+    args = (ops, t, samples, seed)
+    assert mc_terms(mc_frame_potential, *args) == mc_terms(mc_frame_potential_dense, *args)
+
+
+class TestGrowthOrder:
+    """The plan evolves U(theta)|0...0> on the rows spanned so far."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(commuting_sets(max_n=8))
+    def test_step_j_acts_on_the_span_of_the_first_j_masks(self, ops):
+        rows, steps = _plan([pauli_permutation(op) for op in ops])
+        x = np.stack([op.x for op in ops])
+        for j, (axes, f) in enumerate(steps):
+            acted = 2 * len(f) if axes is None else len(f)
+            assert acted == 2 ** gf2.rank(x[: j + 1])
+        grown = bits_to_index(x)[[axes is None for axes, _ in steps]].tolist()
+        for k, row in enumerate(rows.tolist()):
+            picked = [m for b, m in enumerate(grown) if k >> b & 1]
+            assert row == functools.reduce(operator.xor, picked, 0)
+
+    def test_a_mask_repeated_before_the_span_is_full(self):
+        a, b, c, d = ranked_commuting_set(6, 4, 0, np.random.default_rng(31))
+        ops = [a, b, multiply(a, b), PauliString(6, a.x, a.z, -a.sign), c, d]
+        assert check_commuting_set(ops) is None
+        steps = _plan([pauli_permutation(op) for op in ops])[1]
+        assert [axes for axes, _ in steps] == [None, None, (1, 0), (1,), None, None]
+        for samples in (1, 7, 600):
+            assert_same_terms(ops, 2, samples, samples)
+
+    def test_a_z_only_first_operator_adds_no_row(self):
+        ops = [parse_pauli(s) for s in ("-ZZI", "XXI", "IIX", "YYX")]
+        assert check_commuting_set(ops) is None
+        steps = _plan([pauli_permutation(op) for op in ops])[1]
+        assert [axes for axes, _ in steps] == [(), None, None, (1, 0)]
+        for samples in (1, 2, 900):
+            assert_same_terms(ops, 3, samples, samples)
+
+    def test_y_heavy_sets(self):
+        # Y-type strings commute pairwise; one with an odd number of Y
+        # letters has phases +-i.
+        rng = np.random.default_rng(32)
+        for n in (2, 5, 7):
+            ops = [
+                PauliString(n, y, y, int(rng.choice([-1, 1])))
+                for y in rng.integers(0, 2, size=(n + 2, n)).astype(np.uint8)
+                if y.any()
+            ]
+            assert_same_terms(ops, 2, 700, n)
+
+    def test_full_rank_at_eight_qubits_across_a_draw_batch(self):
+        ops = ranked_commuting_set(8, 8, 0, np.random.default_rng(33))
+        assert_same_terms(ops, 2, (1 << 14) + 37, 19)
+
+    def test_a_sequence_of_t_values_shares_one_run(self, example_ops_1):
+        together = mc_frame_potential(example_ops_1, [2, 1, 2, 5], 3001, 12)
+        alone = [mc_frame_potential(example_ops_1, t, 3001, 12) for t in (2, 1, 2, 5)]
+        assert together == alone
