@@ -204,7 +204,7 @@ def run_verify(ops) -> list[str]:
     dense_support = np.flatnonzero(probs > 1e-12)
     coset = np.sort(oracle.bits_to_index(gf2.coset(sup.R.T, sup.t)))
     if not np.array_equal(coset, dense_support):
-        failures.append("tableau support coset differs from dense amplitude support")
+        failures.append("support of W|0...0> differs from dense amplitude support")
     else:
         off = dense_support[np.abs(probs[dense_support] - 2.0**-sup.r) > 1e-10]
         if off.size:

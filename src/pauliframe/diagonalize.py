@@ -12,11 +12,11 @@ generators stay mutually commuting throughout, a generator equal to X_q
 forces x_q = z_q = 0 on every other generator, so the Hadamard never
 disturbs already-diagonal rows.
 
-The stabilizers Z_1..Z_n of |0...0> ride along in the same bit matrix,
-so they end as the stabilizers of W|0...0>, whose support (R, t, r) is
-read from them by ``tableau.extract_support``.  W is a deliverable and a
-cross-check: the law of K itself is read from the input rows
-(``distribution.build_distribution``) without it.
+W|0...0> is |+> on the pivot qubits and |0> on the rest (see
+``simultaneous_diagonalize``), so its support (R, t, r) is read off the
+pivots.  W is a deliverable and a cross-check: the law of K itself is
+read from the input rows (``distribution.build_distribution``) without
+it.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .pauli import (  # noqa: F401  (multiply stays bound: bench/test_bench.py d
     multiply_rows,
     pauli_rows,
 )
-from .tableau import SupportDescriptor, extract_support
+from .tableau import SupportDescriptor
 
 
 @dataclass(frozen=True)
@@ -57,10 +57,17 @@ class DiagonalizedSet:
 def simultaneous_diagonalize(ops: list[PauliString]) -> DiagonalizedSet:
     """Build W, A, s for a pairwise-commuting set without identities.
 
-    The N inputs, the independent generators and the n stabilizers of
-    |0...0> are rows of one bit matrix, so every synthesized gate updates
-    all of them at once; A, s are the final z-block and sign column of
-    the input rows.
+    The N inputs and the independent generators are rows of one bit
+    matrix, so every synthesized gate updates all of them at once; A, s
+    are the final z-block and sign column of the input rows.
+
+    The support of W|0...0> is {R z : z in Z_2^r} with R the unit
+    columns e_q of the pivot qubits q, in increasing order, t = 0 and r
+    the number of pivots.  By induction over the pivots, the state
+    before pivot q's block is |+> on the earlier pivots and |0> on the
+    rest.  The block's CNOTs are controlled on q and its CZs and S(q)
+    act on q, all while qubit q is |0>, so each fixes the state; H(q)
+    then puts qubit q in |+>.
     """
     if not ops:
         raise ValueError("empty operator list")
@@ -77,18 +84,17 @@ def simultaneous_diagonalize(ops: list[PauliString]) -> DiagonalizedSet:
     # The first operators that raise the rank: pivot columns of the
     # symplectic matrix with one operator per column.
     _, independent = gf2.rref(np.concatenate([x, z], axis=1).T)
-    stab = N + len(independent)
-    zero = np.zeros((n, n), dtype=np.uint8)
-    x = np.concatenate([x, x[independent], zero])
-    z = np.concatenate([z, z[independent], np.eye(n, dtype=np.uint8)])
-    r = np.concatenate([r, r[independent], zero[0]])
+    x = np.concatenate([x, x[independent]])
+    z = np.concatenate([z, z[independent]])
+    r = np.concatenate([r, r[independent]])
     gates: list[CliffordGate] = []
+    pivot_qubits: list[int] = []
 
     def apply(gate: CliffordGate) -> None:
         gates.append(gate)
         conjugate_rows(x, z, r, gate)
 
-    todo = list(range(N, stab))
+    todo = list(range(N, len(x)))
     for q in range(n):
         hits = [k for k in todo if x[k, q]]
         if not hits:
@@ -111,13 +117,18 @@ def simultaneous_diagonalize(ops: list[PauliString]) -> DiagonalizedSet:
         # Every other generator commutes with +-X_q, hence has z_q = 0,
         # so H(q) only acts on the pivot.
         apply(CliffordGate.h(q))
+        pivot_qubits.append(q)
 
-    assert not x[:stab].any(), "elimination left an X component"
+    assert not x.any(), "elimination left an X component"
     return DiagonalizedSet(
         circuit=CliffordCircuit(n, tuple(gates)),
         A=z[:N].copy(),
         s=r[:N].copy(),
-        support=extract_support(x[stab:], z[stab:], r[stab:]),
+        support=SupportDescriptor(
+            R=np.eye(n, dtype=np.uint8)[:, pivot_qubits],
+            t=np.zeros(n, dtype=np.uint8),
+            r=len(pivot_qubits),
+        ),
     )
 
 

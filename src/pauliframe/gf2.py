@@ -79,55 +79,3 @@ def coset(basis, offset) -> np.ndarray:
     for i, row in enumerate(basis):
         np.bitwise_xor(out[: 2**i], row, out=out[2**i : 2 ** (i + 1)])
     return out
-
-
-def mat_mul(a, b) -> np.ndarray:
-    """Matrix product mod 2."""
-    a = as_bits(a)
-    b = as_bits(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} x {b.shape}")
-    return (a.astype(np.int64) @ b.astype(np.int64) % 2).astype(np.uint8)
-
-
-def mat_vec(m, v) -> np.ndarray:
-    """Matrix-vector product mod 2."""
-    m = as_bits(m)
-    v = as_bits(v)
-    if m.shape[1] != v.shape[0]:
-        raise ValueError(f"dimension mismatch: {m.shape} x {v.shape}")
-    return (m.astype(np.int64) @ v.astype(np.int64) % 2).astype(np.uint8)
-
-
-def solve(m, b) -> np.ndarray | None:
-    """Solve M x = b over GF(2); returns one solution or None.
-
-    Free variables are set to zero, so the result is deterministic.
-    """
-    m = as_bits(m)
-    b = as_bits(b)
-    if m.shape[0] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {m.shape} vs {b.shape}")
-    aug = np.concatenate([m, b.reshape(-1, 1)], axis=1)
-    r, pivots = rref(aug)
-    if pivots and pivots[-1] == m.shape[1]:
-        return None  # pivot in the augmented column: inconsistent system
-    x = np.zeros(m.shape[1], dtype=np.uint8)
-    for row, col in enumerate(pivots):
-        x[col] = r[row, -1]
-    return x
-
-
-def in_row_span(basis, v) -> bool:
-    """True iff v lies in the span of the rows of ``basis``."""
-    basis = as_bits(basis)
-    v = as_bits(v).copy()
-    if basis.size == 0:
-        return not v.any()
-    if basis.shape[1] != v.shape[0]:
-        raise ValueError(f"dimension mismatch: {basis.shape} vs {v.shape}")
-    red, pivots = rref(basis)
-    for row, col in zip(red, pivots):
-        if v[col]:
-            v ^= row
-    return not v.any()

@@ -1,12 +1,13 @@
-"""X-block elimination of signed Pauli rows and the support of a stabilizer state.
+"""X-block elimination of signed Pauli rows and the support descriptor of W|0...0>.
 
 Rows are signed Pauli strings (-1)^r X^x Z^z held as (x, z, sign-bit)
 arrays, as for ``pauli.conjugate_rows``.  ``reduce_x_block`` clears their
 X block by row products with sign tracking; every row that is not a
 pivot ends as a signed Z string, whose value on a basis label is fixed.
 The law of K reads its offset from the input rows this way
-(``distribution.build_distribution``), and ``extract_support`` reads the
-support of a stabilizer state from its n stabilizers.
+(``distribution.build_distribution``).  ``SupportDescriptor`` holds the
+support of W|0...0>, which ``diagonalize.simultaneous_diagonalize``
+reads off the pivot qubits of W.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gf2
 from .pauli import multiply_rows
 
 
@@ -47,24 +47,3 @@ def reduce_x_block(x: np.ndarray, z: np.ndarray, r: np.ndarray) -> np.ndarray:
             is_open[hits[0]] = False
             pivots.append(hits[0])
     return np.array(pivots, dtype=np.intp)
-
-
-def extract_support(x: np.ndarray, z: np.ndarray, r: np.ndarray) -> SupportDescriptor:
-    """(R, t, r) of the state stabilized by the n rows (x, z, sign-bit).
-
-    The support directions are the row space of the X block; R holds its
-    reduced echelon basis as columns.  The diagonal stabilizers
-    (-1)^s Z^z left by ``reduce_x_block`` say z . u = s for every label
-    u in the support.  t is the solution with zeros at R's pivots, which
-    is the smallest support index with qubit 0 as the most significant
-    bit.
-    """
-    basis, cols = gf2.rref(x)
-    R = basis[: len(cols)].T.copy()
-    x, z, r = x.copy(), z.copy(), r.copy()
-    diag = np.ones(len(x), dtype=bool)
-    diag[reduce_x_block(x, z, r)] = False
-    t = gf2.solve(z[diag], r[diag])
-    assert t is not None, "diagonal stabilizers are inconsistent"
-    t ^= gf2.mat_vec(R, t[cols])  # R is the identity at the pivots
-    return SupportDescriptor(R=R, t=t, r=len(cols))

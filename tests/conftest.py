@@ -57,6 +57,11 @@ def random_commuting_set(
     return ops
 
 
+def hadamard_qubits(w: CliffordCircuit) -> list[int]:
+    """The qubits that W applies H to, in increasing order."""
+    return sorted(g.qubits[0] for g in w.gates if g.name == "H")
+
+
 def dense_pmf(ops: list[PauliString], w: CliffordCircuit) -> dict:
     """pmf of K tallied by the dense oracle from the unitary of W."""
     from pauliframe.oracle import (

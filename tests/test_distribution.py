@@ -25,7 +25,7 @@ from pauliframe.oracle import (
     unitary_from_circuit,
 )
 
-from conftest import dense_pmf, random_commuting_set
+from conftest import dense_pmf, hadamard_qubits, random_commuting_set
 
 
 class TestKRow:
@@ -105,9 +105,10 @@ def left_kernel(X):
 class TestThreeEngines:
     def test_direct_law_matches_w_and_dense_oracle(self):
         # The law of K read from the input rows must meet every
-        # left-kernel parity of X, equal the coset b0' + colspace(A R)
-        # built from W (A, s) and the support (R, t) of W|0>, with
-        # b0' = A t ^ s, and equal the dense oracle's tally through W.
+        # left-kernel parity of X, equal the coset s + colspace(A[:, P])
+        # built from W's (A, s) and its Hadamard qubits P (W|0...0> is |+>
+        # on P and |0> elsewhere), and equal the dense oracle's tally
+        # through W.
         rng = np.random.default_rng(606)
         with_kernel = 0
         for _ in range(150):
@@ -129,10 +130,9 @@ class TestThreeEngines:
                 assert not prod.x.any()
                 assert int(dist.b0[S == 1].sum()) % 2 == (prod.sign == -1)
             diag = simultaneous_diagonalize(ops)
-            sup = diag.support
-            assert np.array_equal(dist.basis, gf2.row_space_basis(gf2.mat_mul(diag.A, sup.R).T))
-            offset = gf2.mat_vec(diag.A, sup.t) ^ diag.s
-            assert gf2.in_row_span(dist.basis, offset ^ dist.b0)
+            P = hadamard_qubits(diag.circuit)
+            assert np.array_equal(dist.basis, gf2.row_space_basis(diag.A[:, P].T))
+            assert gf2.rank(np.vstack([dist.basis, diag.s ^ dist.b0])) == len(dist.basis)
             built = dict.fromkeys(map(tuple, support_points(dist).tolist()), dist.pmf_value)
             assert dense_pmf(ops, diag.circuit) == built
         assert with_kernel > 100  # sets with a parity constraint on b0

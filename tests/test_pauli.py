@@ -287,7 +287,8 @@ class TestInvariants:
             for g in random_clifford_circuit(n, 25, rng).gates:
                 conjugate_rows(x, z, r, g)
                 assert gf2.rank(np.concatenate([x, z], axis=1)) == 2 * n
-                assert np.array_equal((gf2.mat_mul(x, z.T) + gf2.mat_mul(z, x.T)) % 2, form)
+                xi, zi = x.astype(np.int64), z.astype(np.int64)
+                assert np.array_equal((xi @ zi.T + zi @ xi.T) % 2, form)
 
 
 def _random_pauli(n, rng) -> PauliString:
