@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 
 from pauliframe import gf2, multiply, parse_pauli, simultaneous_diagonalize
-from pauliframe.oracle import bits_to_index, dense_state_from_circuit
+from pauliframe.oracle import amplitudes_squared, bits_to_index, dense_state_from_circuit
 from pauliframe.pauli import conjugate_rows, pauli_rows, row_pauli
 from pauliframe.tableau import reduce_x_block
 
@@ -15,6 +15,16 @@ def assert_support_is_unit_columns(diag, P):
     assert diag.support.r == len(P)
     assert np.array_equal(diag.support.R, np.eye(n, dtype=np.uint8)[:, P])
     assert np.array_equal(diag.support.t, np.zeros(n, dtype=np.uint8))
+
+
+def fresh_stabilizers(w):
+    """Rows Z_1..Z_n conjugated by the gates of w: the stabilizers of w|0...0>."""
+    x = np.zeros((w.n, w.n), dtype=np.uint8)
+    z = np.eye(w.n, dtype=np.uint8)
+    r = np.zeros(w.n, dtype=np.uint8)
+    for g in w.gates:
+        conjugate_rows(x, z, r, g)
+    return x, z, r
 
 
 class TestReduceXBlock:
@@ -67,36 +77,64 @@ class TestSupportOfW:
         assert hadamard_qubits(diag.circuit) == [1, 4, 7]
         assert_support_is_unit_columns(diag, [1, 4, 7])
 
-    def test_fresh_stabilizers_are_those_of_plus_on_pivots(self):
-        # Z_1..Z_n conjugated through W in a separate pass stabilize
-        # W|0...0>; they generate the group of |+>^P |0>^(rest) exactly
-        # when each has X part inside P, Z part zero on P and sign +1.
-        rng = np.random.default_rng(47)
-        for _ in range(60):
-            n = int(rng.integers(1, 17))
-            ops = random_commuting_set(n, int(rng.integers(1, 10)), rng, n_gates=3 * n)
-            diag = simultaneous_diagonalize(ops)
-            P = hadamard_qubits(diag.circuit)
-            assert len(P) == gf2.rank(np.stack([op.x for op in ops]))
-            assert_support_is_unit_columns(diag, P)
-            x = np.zeros((n, n), dtype=np.uint8)
-            z = np.eye(n, dtype=np.uint8)
-            r = np.zeros(n, dtype=np.uint8)
-            for g in diag.circuit.gates:
-                conjugate_rows(x, z, r, g)
-            rest = np.setdiff1d(np.arange(n), P)
-            assert not x[:, rest].any()
-            assert not z[:, P].any()
-            assert not r.any()
 
-    def test_state_is_plus_on_pivots_and_zero_elsewhere(self):
+class TestExtractSupport:
+    # The support descriptor that simultaneous_diagonalize extracts for
+    # W|0...0>, checked against the dense state of W and against the
+    # stabilizers from a separate gate pass over W.
+
+    def test_support_matches_dense_oracle(self):
+        # The dense state of W is 2^(-|P|/2) on span{e_q : q in P} and 0
+        # elsewhere, and the descriptor's coset is that span.
         rng = np.random.default_rng(29)
         for _ in range(60):
             n = int(rng.integers(1, 7))
             diag = simultaneous_diagonalize(random_commuting_set(n, int(rng.integers(1, 8)), rng))
             P = hadamard_qubits(diag.circuit)
             assert_support_is_unit_columns(diag, P)
-            span = np.eye(n, dtype=np.uint8)[P]
+            sup = diag.support
             expected = np.zeros(2**n)
-            expected[bits_to_index(gf2.coset(span, np.zeros(n, dtype=np.uint8)))] = 2.0 ** (-len(P) / 2)
+            expected[bits_to_index(gf2.coset(sup.R.T, sup.t))] = 2.0 ** (-sup.r / 2)
             assert np.abs(dense_state_from_circuit(diag.circuit) - expected).max() <= 1e-12
+
+    def test_r_matches_rank_and_R_full_column_rank(self):
+        rng = np.random.default_rng(31)
+        for _ in range(60):
+            n = int(rng.integers(1, 17))
+            ops = random_commuting_set(n, int(rng.integers(1, 10)), rng, n_gates=3 * n)
+            diag = simultaneous_diagonalize(ops)
+            sup = diag.support
+            x, _, _ = fresh_stabilizers(diag.circuit)
+            assert sup.r == gf2.rank(np.stack([op.x for op in ops]))
+            assert sup.r == gf2.rank(x)
+            assert gf2.rank(sup.R) == sup.r
+            assert_support_is_unit_columns(diag, hadamard_qubits(diag.circuit))
+
+    def test_t_is_smallest_support_index_and_zero_at_pivots(self):
+        rng = np.random.default_rng(37)
+        for _ in range(40):
+            n = int(rng.integers(1, 7))
+            diag = simultaneous_diagonalize(random_commuting_set(n, int(rng.integers(1, 8)), rng))
+            sup = diag.support
+            probs = amplitudes_squared(dense_state_from_circuit(diag.circuit))
+            assert bits_to_index(sup.t) == int(np.flatnonzero(probs > 1e-12)[0])
+            _, pivots = gf2.rref(sup.R.T)
+            assert not sup.t[pivots].any()
+
+    def test_carried_stabilizers_match_a_fresh_gate_pass(self):
+        # Z_1..Z_n conjugated through W in a separate pass stabilize
+        # W|0...0>; they generate the group of |+>^P |0>^(rest), the state
+        # the descriptor describes, exactly when each has X part inside P,
+        # Z part zero on P and sign +1.
+        rng = np.random.default_rng(47)
+        for _ in range(60):
+            n = int(rng.integers(1, 17))
+            ops = random_commuting_set(n, int(rng.integers(1, 10)), rng, n_gates=3 * n)
+            diag = simultaneous_diagonalize(ops)
+            P = hadamard_qubits(diag.circuit)
+            assert_support_is_unit_columns(diag, P)
+            x, z, r = fresh_stabilizers(diag.circuit)
+            rest = np.setdiff1d(np.arange(n), P)
+            assert not x[:, rest].any()
+            assert not z[:, P].any()
+            assert not r.any()
