@@ -98,7 +98,9 @@ class TestRowSpaceBasis:
     @given(small_matrices)
     def test_spans_same_set(self, m):
         basis = gf2.row_space_basis(m)
-        assert len(basis) == gf2.rank(m) == gf2.rank(np.vstack([basis, m]))
+        # Equal ranks of basis, m and both stacked give span equality; the
+        # first equality keeps the basis rows independent.
+        assert gf2.rank(basis) == len(basis) == gf2.rank(m) == gf2.rank(np.vstack([basis, m]))
 
     @given(small_matrices)
     def test_reduced_echelon(self, m):
