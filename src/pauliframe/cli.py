@@ -296,8 +296,9 @@ def _emit(doc: dict, as_json: bool) -> None:
         print(_format_text(doc))
 
 
-def _int_at_least(low: int):
-    """argparse type: an integer >= low (violations exit with code 2)."""
+def _int_in(low: int, high: int | None = None):
+    """argparse type: an integer >= low, and < high if given (violations
+    exit with code 2)."""
 
     def parse(text: str) -> int:
         try:
@@ -306,6 +307,8 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if high is not None and value >= high:
+            raise argparse.ArgumentTypeError(f"must be < {high}, got {value}")
         return value
 
     return parse
@@ -331,14 +334,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_frame_options(p):
         p.add_argument(
-            "--t", type=_int_at_least(1), action="append", default=None, metavar="T",
+            "--t", type=_int_in(1), action="append", default=None, metavar="T",
             help="frame-potential order (repeatable)",
         )
         p.add_argument("--exact", action="store_true",
                        help="also compute the exact frame potential")
-        p.add_argument("--mc-samples", type=_int_at_least(0), default=0,
+        p.add_argument("--mc-samples", type=_int_in(0), default=0,
                        help="Monte-Carlo samples per t (0 disables)")
-        p.add_argument("--seed", type=int, default=0, help="Monte-Carlo seed")
+        p.add_argument("--seed", type=_int_in(0, 2**128), default=0,
+                       help="Monte-Carlo seed, in [0, 2**128)")
 
     add_frame_options(add_common(sub.add_parser("report", help="full pipeline report")))
     add_common(sub.add_parser("check", help="commutation check only"))

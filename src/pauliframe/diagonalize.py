@@ -4,13 +4,23 @@ Synthesizes a Clifford circuit W (gates H, S, CNOT, CZ) such that every
 operator of the input set conjugates under W to a signed {I, Z}-only
 string, then reads off the Z-masks (matrix A) and signs.
 
-The algorithm is symplectic Gaussian elimination on an independent
-generator subset: for each pivot qubit, one generator is reduced to
-exactly +-X_q (row products clear the x column, CNOTs clear the x row,
-CZ/S clear the z row), after which H(q) turns it into +-Z_q.  Because the
-generators stay mutually commuting throughout, a generator equal to X_q
-forces x_q = z_q = 0 on every other generator, so the Hadamard never
-disturbs already-diagonal rows.
+The algorithm is the law's X-block elimination
+(``tableau.reduce_x_block``), run once on a copy of the input rows, then
+one gate block per pivot row: with q its first set X bit, CNOTs
+controlled on q and CZs on q, then S(q) if needed, make the row +-X_q,
+and H(q) makes it +-Z_q.  These are the gates of symplectic Gaussian
+elimination that interleaves the row products with the gates, because:
+
+- a row whose X part lies in the span of earlier rows' X parts never
+  becomes a pivot, so dependent rows (repeats, sign flips, products)
+  change nothing and no independent generators need picking first;
+- row products commute with conjugation, W(PQ)W† = (WPW†)(WQW†), so
+  eliminating before the first gate hands each block the row that the
+  interleaved elimination reduces there.
+
+A later pivot row has x_q = 0, and z_q = 0 as it commutes with +-X_q, so
+the block of q leaves it alone.  Every input row is a product of pivot
+rows and a signed Z string, so it ends as a signed Z string.
 
 W|0...0> is |+> on the pivot qubits and |0> on the rest (see
 ``simultaneous_diagonalize``), so its support (R, t, r) is read off the
@@ -34,10 +44,9 @@ from .pauli import (  # noqa: F401  (multiply stays bound: bench/test_bench.py d
     check_commuting_set,
     conjugate_rows,
     multiply,
-    multiply_rows,
     pauli_rows,
 )
-from .tableau import SupportDescriptor
+from .tableau import SupportDescriptor, reduce_x_block
 
 
 @dataclass(frozen=True)
@@ -57,9 +66,10 @@ class DiagonalizedSet:
 def simultaneous_diagonalize(ops: list[PauliString]) -> DiagonalizedSet:
     """Build W, A, s for a pairwise-commuting set without identities.
 
-    The N inputs and the independent generators are rows of one bit
-    matrix, so every synthesized gate updates all of them at once; A, s
-    are the final z-block and sign column of the input rows.
+    ``reduce_x_block`` runs on a copy of the input rows.  The N input
+    rows and its rho pivot rows are rows of one bit matrix, so every
+    synthesized gate updates all of them at once; A, s are the final
+    z-block and sign column of the input rows.
 
     The support of W|0...0> is {R z : z in Z_2^r} with R the unit
     columns e_q of the pivot qubits q, in increasing order, t = 0 and r
@@ -81,12 +91,11 @@ def simultaneous_diagonalize(ops: list[PauliString]) -> DiagonalizedSet:
     N = len(ops)
 
     x, z, r = pauli_rows(ops)
-    # The first operators that raise the rank: pivot columns of the
-    # symplectic matrix with one operator per column.
-    _, independent = gf2.rref(np.concatenate([x, z], axis=1).T)
-    x = np.concatenate([x, x[independent]])
-    z = np.concatenate([z, z[independent]])
-    r = np.concatenate([r, r[independent]])
+    gx, gz, gr = x.copy(), z.copy(), r.copy()
+    pivots = reduce_x_block(gx, gz, gr)
+    x = np.concatenate([x, gx[pivots]])
+    z = np.concatenate([z, gz[pivots]])
+    r = np.concatenate([r, gr[pivots]])
     gates: list[CliffordGate] = []
     pivot_qubits: list[int] = []
 
@@ -94,28 +103,16 @@ def simultaneous_diagonalize(ops: list[PauliString]) -> DiagonalizedSet:
         gates.append(gate)
         conjugate_rows(x, z, r, gate)
 
-    todo = list(range(N, len(x)))
-    for q in range(n):
-        hits = [k for k in todo if x[k, q]]
-        if not hits:
-            continue
-        pivot = hits[0]
-        todo.remove(pivot)
-        # Clear column q of the x block in the other open generators by
-        # row products (the set stays a generating set of the same group).
-        multiply_rows(x, z, r, hits[1:], pivot)
-        # Reduce the pivot generator to exactly +-X_q.
-        for q2 in np.flatnonzero(x[pivot]):
+    for k in range(N, len(x)):
+        q, *targets = np.flatnonzero(x[k]).tolist()
+        for q2 in targets:
+            apply(CliffordGate.cnot(q, q2))
+        for q2 in np.flatnonzero(z[k]).tolist():
             if q2 != q:
-                apply(CliffordGate.cnot(q, int(q2)))
-        for q2 in np.flatnonzero(z[pivot]):
-            if q2 != q:
-                apply(CliffordGate.cz(q, int(q2)))
-        if z[pivot, q]:
+                apply(CliffordGate.cz(q, q2))
+        if z[k, q]:
             apply(CliffordGate.s(q))
-        assert np.flatnonzero(x[pivot]).tolist() == [q] and not z[pivot].any()
-        # Every other generator commutes with +-X_q, hence has z_q = 0,
-        # so H(q) only acts on the pivot.
+        assert np.flatnonzero(x[k]).tolist() == [q] and not z[k].any()
         apply(CliffordGate.h(q))
         pivot_qubits.append(q)
 

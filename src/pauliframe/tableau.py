@@ -4,10 +4,11 @@ Rows are signed Pauli strings (-1)^r X^x Z^z held as (x, z, sign-bit)
 arrays, as for ``pauli.conjugate_rows``.  ``reduce_x_block`` clears their
 X block by row products with sign tracking; every row that is not a
 pivot ends as a signed Z string, whose value on a basis label is fixed.
-The law of K reads its offset from the input rows this way
-(``distribution.build_distribution``).  ``SupportDescriptor`` holds the
-support of W|0...0>, which ``diagonalize.simultaneous_diagonalize``
-reads off the pivot qubits of W.
+This one elimination serves both the law and W: the law of K reads its
+offset from the input rows this way (``distribution.build_distribution``),
+and ``diagonalize.simultaneous_diagonalize`` emits one gate block of W
+per pivot row.  ``SupportDescriptor`` holds the support of W|0...0>,
+which is read off the pivot qubits of W.
 """
 
 from __future__ import annotations

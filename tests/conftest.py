@@ -10,6 +10,9 @@ from pauliframe import CliffordCircuit, CliffordGate, PauliString, parse_pauli
 
 EXAMPLE_SET_1 = ["-XXYYY", "IYIIX", "-IZXXZ", "XYIZI", "-XZXYY"]
 EXAMPLE_SET_2 = ["YZZIX", "YYXII", "-ZIYIX", "ZXXXY", "ZIYZI"]
+# Rows that never pivot: ZZI is independent of -YYI on [X|Z] but has no X
+# part, and -ZZI, XXI (twice) and YYX are products of earlier rows up to sign.
+EXAMPLE_SET_3 = ["-YYI", "ZZI", "-ZZI", "XXI", "XXI", "IIX", "YYX"]
 
 
 @pytest.fixture

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from pauliframe import cli, oracle
 from pauliframe.cli import main
 
-from conftest import EXAMPLE_SET_1, EXAMPLE_SET_2, walk_count_frame_potential
+from conftest import EXAMPLE_SET_1, EXAMPLE_SET_2, EXAMPLE_SET_3, walk_count_frame_potential
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -257,7 +257,9 @@ def measured_support_bits(texts):
 class TestGolden:
     """stdout recorded from an earlier release, compared byte for byte."""
 
-    @pytest.mark.parametrize("example, ops", [(1, EXAMPLE_SET_1), (2, EXAMPLE_SET_2)])
+    @pytest.mark.parametrize(
+        "example, ops", [(1, EXAMPLE_SET_1), (2, EXAMPLE_SET_2), (3, EXAMPLE_SET_3)]
+    )
     @pytest.mark.parametrize(
         "command, flags",
         [("report", ["--t", "1", "--t", "10", "--exact"]), ("diagonalize", [])],
@@ -269,7 +271,9 @@ class TestGolden:
         assert code == 0
         assert out == (GOLDEN / f"example{example}_{command}.json").read_text()
 
-    @pytest.mark.parametrize("example, ops", [(1, EXAMPLE_SET_1), (2, EXAMPLE_SET_2)])
+    @pytest.mark.parametrize(
+        "example, ops", [(1, EXAMPLE_SET_1), (2, EXAMPLE_SET_2), (3, EXAMPLE_SET_3)]
+    )
     def test_exact_values_match_walk_counts(self, example, ops):
         doc = json.loads((GOLDEN / f"example{example}_report.json").read_text())
         bits = measured_support_bits(ops)
@@ -313,7 +317,7 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "flags",
         [["--t", "0"], ["--t", "-1"], ["--t", "0", "--exact"], ["--t", "two"],
-         ["--mc-samples", "-5"]],
+         ["--mc-samples", "-5"], ["--seed", "-1"], ["--seed", str(2**128)]],
     )
     def test_invalid_flag_values_exit_2(self, capsys, tmp_path, content, command, flags):
         path = tmp_path / "ops.txt"

@@ -2,8 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from pauliframe import gf2, multiply, parse_pauli, simultaneous_diagonalize
-from pauliframe.oracle import amplitudes_squared, bits_to_index, dense_state_from_circuit
+from pauliframe import PauliString, gf2, multiply, parse_pauli, simultaneous_diagonalize
+from pauliframe.oracle import bits_to_index, dense_state_from_circuit
 from pauliframe.pauli import conjugate_rows, pauli_rows, row_pauli
 from pauliframe.tableau import reduce_x_block
 
@@ -77,11 +77,26 @@ class TestSupportOfW:
         assert hadamard_qubits(diag.circuit) == [1, 4, 7]
         assert_support_is_unit_columns(diag, [1, 4, 7])
 
-
-class TestExtractSupport:
-    # The support descriptor that simultaneous_diagonalize extracts for
-    # W|0...0>, checked against the dense state of W and against the
-    # stabilizers from a separate gate pass over W.
+    def test_hadamard_qubits_are_first_x_bits_of_pivot_rows(self):
+        # W has one block per pivot row of reduce_x_block on the input
+        # rows, ending in H on the row's first set X bit.  Repeated,
+        # sign-flipped and product rows, a product inserted before both
+        # of its factors, never become pivots.
+        rng = np.random.default_rng(53)
+        for _ in range(200):
+            n = int(rng.integers(1, 9))
+            ops = random_commuting_set(n, int(rng.integers(1, 7)), rng, n_gates=3 * n)
+            for _ in range(int(rng.integers(1, 5))):
+                i, j = (int(k) for k in rng.integers(len(ops), size=2))
+                a = ops[i]
+                flipped = PauliString(n, a.x, a.z, -a.sign)
+                new = [a, flipped, multiply(a, ops[j])][int(rng.integers(3))]
+                if not new.is_identity():
+                    ops.insert(int(rng.integers(min(i, j) + 1)), new)
+            x, z, r = pauli_rows(ops)
+            pivots = reduce_x_block(x, z, r)
+            diag = simultaneous_diagonalize(ops)
+            assert hadamard_qubits(diag.circuit) == [int(np.flatnonzero(x[p])[0]) for p in pivots]
 
     def test_support_matches_dense_oracle(self):
         # The dense state of W is 2^(-|P|/2) on span{e_q : q in P} and 0
@@ -102,39 +117,23 @@ class TestExtractSupport:
         for _ in range(60):
             n = int(rng.integers(1, 17))
             ops = random_commuting_set(n, int(rng.integers(1, 10)), rng, n_gates=3 * n)
-            diag = simultaneous_diagonalize(ops)
-            sup = diag.support
-            x, _, _ = fresh_stabilizers(diag.circuit)
+            sup = simultaneous_diagonalize(ops).support
             assert sup.r == gf2.rank(np.stack([op.x for op in ops]))
-            assert sup.r == gf2.rank(x)
             assert gf2.rank(sup.R) == sup.r
-            assert_support_is_unit_columns(diag, hadamard_qubits(diag.circuit))
 
-    def test_t_is_smallest_support_index_and_zero_at_pivots(self):
-        rng = np.random.default_rng(37)
-        for _ in range(40):
-            n = int(rng.integers(1, 7))
-            diag = simultaneous_diagonalize(random_commuting_set(n, int(rng.integers(1, 8)), rng))
-            sup = diag.support
-            probs = amplitudes_squared(dense_state_from_circuit(diag.circuit))
-            assert bits_to_index(sup.t) == int(np.flatnonzero(probs > 1e-12)[0])
-            _, pivots = gf2.rref(sup.R.T)
-            assert not sup.t[pivots].any()
-
-    def test_carried_stabilizers_match_a_fresh_gate_pass(self):
-        # Z_1..Z_n conjugated through W in a separate pass stabilize
-        # W|0...0>; they generate the group of |+>^P |0>^(rest), the state
-        # the descriptor describes, exactly when each has X part inside P,
-        # Z part zero on P and sign +1.
+    def test_fresh_stabilizers_match_the_hadamard_qubits(self):
+        # Z_1..Z_n conjugated through W stabilize W|0...0>; they generate
+        # the group of |+>^P |0>^(rest) exactly when each has X part inside
+        # P, Z part zero on P and sign +1, and their X parts have rank |P|.
         rng = np.random.default_rng(47)
         for _ in range(60):
             n = int(rng.integers(1, 17))
             ops = random_commuting_set(n, int(rng.integers(1, 10)), rng, n_gates=3 * n)
-            diag = simultaneous_diagonalize(ops)
-            P = hadamard_qubits(diag.circuit)
-            assert_support_is_unit_columns(diag, P)
-            x, z, r = fresh_stabilizers(diag.circuit)
+            w = simultaneous_diagonalize(ops).circuit
+            P = hadamard_qubits(w)
+            x, z, r = fresh_stabilizers(w)
             rest = np.setdiff1d(np.arange(n), P)
+            assert gf2.rank(x) == len(P)
             assert not x[:, rest].any()
             assert not z[:, P].any()
             assert not r.any()
