@@ -28,14 +28,9 @@ from .pauli import (
     PauliParseError,
     PauliString,
     check_commuting_set,
-    commutes,
-    conjugate,
-    conjugate_by_circuit,
-    format_pauli,
     multiply,
     parse_pauli,
 )
-from .tableau import SupportDescriptor
 
 __all__ = [
     "CliffordCircuit",
@@ -48,17 +43,12 @@ __all__ = [
     "PauliParseError",
     "PauliString",
     "QuadratureCapError",
-    "SupportDescriptor",
     "SupportTooLargeError",
     "build_distribution",
     "check_commuting_set",
     "clt_coefficient",
     "clt_frame_potential",
-    "commutes",
-    "conjugate",
-    "conjugate_by_circuit",
     "exact_frame_potential",
-    "format_pauli",
     "lattice_volume",
     "moments",
     "multiply",

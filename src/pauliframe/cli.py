@@ -118,9 +118,10 @@ def _circuit_fields(diag) -> dict:
 
 
 def _support_fields(diag) -> dict:
-    """The support {R z + t} of W|0...0>."""
-    sup = diag.support
-    return {"R": [_bitstring(col) for col in sup.R.T], "t_vec": _bitstring(sup.t), "r": sup.r}
+    """The support {R z + t} of W|0...0>: R is the unit columns of W's
+    Hadamard qubits and t = 0."""
+    n, sup = diag.circuit.n, diag.support
+    return {"R": ["0" * q + "1" + "0" * (n - 1 - q) for q in sup], "t_vec": "0" * n, "r": len(sup)}
 
 
 def _law_fields(dist, mom) -> dict:
@@ -175,12 +176,12 @@ def run_verify(ops) -> list[str]:
     """Oracle cross-checks; returns the list of failure descriptions.
 
     The dense unitary of W and the N dense diagonals are built once and
-    serve both the per-operator check and the pmf tally.
+    serve both the per-operator check and the pmf tally; W|0...0> is the
+    unitary's first column.
     """
     failures = []
-    dist = build_distribution(ops)
     diag = simultaneous_diagonalize(ops)
-    sup = diag.support
+    dist, sup = diag.law, diag.support
     n = ops[0].n
     wm = oracle.unitary_from_circuit(diag.circuit)
     ok, bad = verify_diagonalization(ops, diag)
@@ -199,14 +200,15 @@ def run_verify(ops) -> list[str]:
         if not np.array_equal(dd, expected):
             failures.append(f"operator {j}: dense diagonal disagrees with (A, s)")
         diagonals.append(dd)
-    state = oracle.dense_state_from_circuit(diag.circuit)
+    state = wm[:, 0]
     probs = oracle.amplitudes_squared(state)
     dense_support = np.flatnonzero(probs > 1e-12)
-    coset = np.sort(oracle.bits_to_index(gf2.coset(sup.R.T, sup.t)))
+    units = np.eye(n, dtype=np.uint8)[list(sup)]
+    coset = np.sort(oracle.bits_to_index(gf2.coset(units, np.zeros(n, dtype=np.uint8))))
     if not np.array_equal(coset, dense_support):
         failures.append("support of W|0...0> differs from dense amplitude support")
     else:
-        off = dense_support[np.abs(probs[dense_support] - 2.0**-sup.r) > 1e-10]
+        off = dense_support[np.abs(probs[dense_support] - 2.0**-len(sup)) > 1e-10]
         if off.size:
             failures.append(f"amplitude at {off[0]} is not 2^-r")
     if len(diagonals) == len(ops):
@@ -389,19 +391,18 @@ def main(argv=None) -> int:
             _emit({**head, **_circuit_fields(simultaneous_diagonalize(ops))}, as_json)
             return 0
 
-        # distribution, report and frame-potential read the law of K from
-        # the input rows; only distribution and report synthesize W.
-        dist = build_distribution(ops)
+        # distribution and report read the law of K off the elimination
+        # that builds W; frame-potential reads it from the input rows alone.
+        diag = None if args.command == "frame-potential" else simultaneous_diagonalize(ops)
+        dist = build_distribution(ops) if diag is None else diag.law
         mom = moments(dist)
         if args.command == "distribution":
-            diag = simultaneous_diagonalize(ops)
             doc = {**head, **_support_fields(diag), **_law_fields(dist, mom),
                    "degenerate": mom.degenerate}
         else:
             frame = _frame_fields(ops, dist, mom, args.t or [1], args.exact,
                                   args.mc_samples, args.seed)
             if args.command == "report":
-                diag = simultaneous_diagonalize(ops)
                 doc = {**head, "commuting": True, **_circuit_fields(diag),
                        **_support_fields(diag), **_law_fields(dist, mom), **frame}
             else:

@@ -23,10 +23,9 @@ the block of q leaves it alone.  Every input row is a product of pivot
 rows and a signed Z string, so it ends as a signed Z string.
 
 W|0...0> is |+> on the pivot qubits and |0> on the rest (see
-``simultaneous_diagonalize``), so its support (R, t, r) is read off the
-pivots.  W is a deliverable and a cross-check: the law of K itself is
-read from the input rows (``distribution.build_distribution``) without
-it.
+``simultaneous_diagonalize``).  The same elimination gives the law of K
+(``distribution.law_from_elimination``), so W and the law come from one
+pass; ``distribution.build_distribution`` gives the law without W.
 """
 
 from __future__ import annotations
@@ -36,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf2
+from .distribution import KDistribution, law_from_elimination
 from .pauli import (  # noqa: F401  (multiply stays bound: bench/test_bench.py deletes it here)
     CliffordCircuit,
     CliffordGate,
@@ -46,7 +46,7 @@ from .pauli import (  # noqa: F401  (multiply stays bound: bench/test_bench.py d
     multiply,
     pauli_rows,
 )
-from .tableau import SupportDescriptor, reduce_x_block
+from .tableau import reduce_x_block
 
 
 @dataclass(frozen=True)
@@ -54,30 +54,32 @@ class DiagonalizedSet:
     """Circuit W plus the diagonal encodings of the conjugated set.
 
     Row j of A is the Z-mask of W H_j W†; s_j is 1 iff that string
-    carries sign -1.  ``support`` is the support of W|0...0>.
+    carries sign -1.  ``support`` lists the qubits W applies H to, in
+    increasing order; W|0...0> is |+> on them and |0> elsewhere.  ``law``
+    is the law of K.
     """
 
     circuit: CliffordCircuit
     A: np.ndarray  # N x n
     s: np.ndarray  # length N
-    support: SupportDescriptor
+    support: tuple[int, ...]
+    law: KDistribution
 
 
 def simultaneous_diagonalize(ops: list[PauliString]) -> DiagonalizedSet:
-    """Build W, A, s for a pairwise-commuting set without identities.
+    """Build W, A, s and the law of K for a pairwise-commuting set
+    without identities.
 
-    ``reduce_x_block`` runs on a copy of the input rows.  The N input
-    rows and its rho pivot rows are rows of one bit matrix, so every
-    synthesized gate updates all of them at once; A, s are the final
-    z-block and sign column of the input rows.
+    ``reduce_x_block`` runs on a copy of the input rows, and the law of
+    K is read off it.  The N input rows and its rho pivot rows are rows
+    of one bit matrix, so every synthesized gate updates all of them at
+    once; A, s are the final z-block and sign column of the input rows.
 
-    The support of W|0...0> is {R z : z in Z_2^r} with R the unit
-    columns e_q of the pivot qubits q, in increasing order, t = 0 and r
-    the number of pivots.  By induction over the pivots, the state
-    before pivot q's block is |+> on the earlier pivots and |0> on the
-    rest.  The block's CNOTs are controlled on q and its CZs and S(q)
-    act on q, all while qubit q is |0>, so each fixes the state; H(q)
-    then puts qubit q in |+>.
+    W|0...0> is |+> on the pivot qubits and |0> on the rest.  By
+    induction over the pivots, the state before pivot q's block is |+>
+    on the earlier pivots and |0> on the rest.  The block's CNOTs are
+    controlled on q and its CZs and S(q) act on q, all while qubit q is
+    |0>, so each fixes the state; H(q) then puts qubit q in |+>.
     """
     if not ops:
         raise ValueError("empty operator list")
@@ -93,6 +95,7 @@ def simultaneous_diagonalize(ops: list[PauliString]) -> DiagonalizedSet:
     x, z, r = pauli_rows(ops)
     gx, gz, gr = x.copy(), z.copy(), r.copy()
     pivots = reduce_x_block(gx, gz, gr)
+    law = law_from_elimination(x, gr, pivots)
     x = np.concatenate([x, gx[pivots]])
     z = np.concatenate([z, gz[pivots]])
     r = np.concatenate([r, gr[pivots]])
@@ -121,11 +124,8 @@ def simultaneous_diagonalize(ops: list[PauliString]) -> DiagonalizedSet:
         circuit=CliffordCircuit(n, tuple(gates)),
         A=z[:N].copy(),
         s=r[:N].copy(),
-        support=SupportDescriptor(
-            R=np.eye(n, dtype=np.uint8)[:, pivot_qubits],
-            t=np.zeros(n, dtype=np.uint8),
-            r=len(pivot_qubits),
-        ),
+        support=tuple(pivot_qubits),
+        law=law,
     )
 
 

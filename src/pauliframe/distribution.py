@@ -6,9 +6,9 @@ W† D_j W = H_j.  It is uniform on the coset b0 + span(basis) of GF(2)^N,
 lifted to {-1, 1}^N by b -> (-1)^b: ``basis`` is the reduced echelon
 basis of the column space of the N x n X block, and b0 comes from one
 X-block elimination of the signed input rows
-(``tableau.reduce_x_block``).  No circuit is synthesized.  All
-probabilities are dyadic and kept as Fractions; moments are small
-integers.
+(``tableau.reduce_x_block``, read by ``law_from_elimination``), which
+also builds W.  All probabilities are dyadic and kept as Fractions;
+moments are small integers.
 """
 
 from __future__ import annotations
@@ -64,22 +64,32 @@ class MomentReport:
     degenerate: bool
 
 
-def build_distribution(ops: list[PauliString]) -> KDistribution:
-    """The law of K for a pairwise-commuting set, from its rows alone.
+def law_from_elimination(x: np.ndarray, r: np.ndarray, pivots: np.ndarray) -> KDistribution:
+    """The law of K from one ``reduce_x_block`` pass over the input rows.
 
-    The outcomes of the pivot rows of ``reduce_x_block`` (rows with
-    independent X parts) are free; each other row ends as +-Z^z, the
-    product of its operator and pivot operators, whose value on |0...0>
-    is its sign.  So b0 is that final sign bit at the other rows and 0
-    at the pivots, and the free directions span the column space of X.
+    ``x`` is the input X block, ``r`` the sign bits after the pass and
+    ``pivots`` its pivot rows (rows with independent X parts), whose
+    outcomes are free.  Each other row ends as +-Z^z, the product of its
+    operator and pivot operators, whose value on |0...0> is its sign.
+    So b0 is that final sign bit at the other rows and 0 at the pivots,
+    and the free directions span the column space of X.
+    """
+    b0 = r.copy()
+    b0[pivots] = 0
+    return KDistribution(b0=b0, basis=gf2.row_space_basis(x.T))
+
+
+def build_distribution(ops: list[PauliString]) -> KDistribution:
+    """The law of K for a pairwise-commuting set, without synthesizing W.
+
+    ``simultaneous_diagonalize(ops).law`` is the same law.
     """
     bad = check_commuting_set(ops)
     if bad is not None:
         raise NonCommutingSetError(bad)
     x, z, r = pauli_rows(ops)
-    basis = gf2.row_space_basis(x.T)
-    r[reduce_x_block(x, z, r)] = 0
-    return KDistribution(b0=r, basis=basis)
+    pivots = reduce_x_block(x.copy(), z, r)
+    return law_from_elimination(x, r, pivots)
 
 
 def support_points(d: KDistribution) -> np.ndarray:

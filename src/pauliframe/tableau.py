@@ -1,33 +1,20 @@
-"""X-block elimination of signed Pauli rows and the support descriptor of W|0...0>.
+"""X-block elimination of signed Pauli rows.
 
 Rows are signed Pauli strings (-1)^r X^x Z^z held as (x, z, sign-bit)
 arrays, as for ``pauli.conjugate_rows``.  ``reduce_x_block`` clears their
 X block by row products with sign tracking; every row that is not a
 pivot ends as a signed Z string, whose value on a basis label is fixed.
-This one elimination serves both the law and W: the law of K reads its
-offset from the input rows this way (``distribution.build_distribution``),
-and ``diagonalize.simultaneous_diagonalize`` emits one gate block of W
-per pivot row.  ``SupportDescriptor`` holds the support of W|0...0>,
-which is read off the pivot qubits of W.
+One pass serves both the law and W: ``diagonalize.simultaneous_diagonalize``
+emits one gate block of W per pivot row and reads the law of K off the
+same pass (``distribution.law_from_elimination``), and
+``distribution.build_distribution`` runs it for the law alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .pauli import multiply_rows
-
-
-@dataclass(frozen=True)
-class SupportDescriptor:
-    """Affine description {R z + t : z in Z_2^r} of the nonzero-amplitude
-    basis labels of a stabilizer state."""
-
-    R: np.ndarray  # n x r, full column rank
-    t: np.ndarray  # length n
-    r: int
 
 
 def reduce_x_block(x: np.ndarray, z: np.ndarray, r: np.ndarray) -> np.ndarray:

@@ -46,7 +46,7 @@ def random_commuting_set(
 
     The result pairwise commutes by construction and contains no identity.
     """
-    from pauliframe import conjugate_by_circuit
+    from pauliframe.pauli import conjugate_by_circuit
 
     w = random_clifford_circuit(n, n_gates, rng)
     ops = []
@@ -60,9 +60,39 @@ def random_commuting_set(
     return ops
 
 
+def sets_with_dependent_rows(rng: np.random.Generator, count: int):
+    """Random commuting sets with repeated, sign-flipped and product rows.
+
+    Each inserted row is a copy of row i, its sign flip or its product
+    with row j, placed before both of its factors.
+    """
+    from pauliframe.pauli import multiply
+
+    for _ in range(count):
+        n = int(rng.integers(1, 9))
+        ops = random_commuting_set(n, int(rng.integers(1, 7)), rng, n_gates=3 * n)
+        for _ in range(int(rng.integers(1, 5))):
+            i, j = (int(k) for k in rng.integers(len(ops), size=2))
+            a = ops[i]
+            flipped = PauliString(n, a.x, a.z, -a.sign)
+            new = [a, flipped, multiply(a, ops[j])][int(rng.integers(3))]
+            if not new.is_identity():
+                ops.insert(int(rng.integers(min(i, j) + 1)), new)
+        yield ops
+
+
 def hadamard_qubits(w: CliffordCircuit) -> list[int]:
     """The qubits that W applies H to, in increasing order."""
     return sorted(g.qubits[0] for g in w.gates if g.name == "H")
+
+
+def support_labels(support: tuple[int, ...], n: int) -> np.ndarray:
+    """Basis labels of span{e_q : q in support}, the support of W|0...0>."""
+    from pauliframe.gf2 import coset
+    from pauliframe.oracle import bits_to_index
+
+    units = np.eye(n, dtype=np.uint8)[list(support)]
+    return bits_to_index(coset(units, np.zeros(n, dtype=np.uint8)))
 
 
 def dense_pmf(ops: list[PauliString], w: CliffordCircuit) -> dict:

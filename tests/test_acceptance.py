@@ -14,7 +14,6 @@ from pauliframe import (
     clt_coefficient,
     clt_frame_potential,
     exact_frame_potential,
-    gf2,
     lattice_volume,
     moments,
     parse_pauli,
@@ -23,7 +22,6 @@ from pauliframe import (
 )
 from pauliframe.oracle import (
     amplitudes_squared,
-    bits_to_index,
     brute_pmf_K,
     dense_diagonal,
     dense_state_from_circuit,
@@ -32,7 +30,7 @@ from pauliframe.oracle import (
     unitary_from_circuit,
 )
 
-from conftest import EXAMPLE_SET_1, EXAMPLE_SET_2, random_commuting_set
+from conftest import EXAMPLE_SET_1, EXAMPLE_SET_2, random_commuting_set, support_labels
 
 
 def analyze(ops):
@@ -52,7 +50,7 @@ def test_criterion_1_worked_example_golden():
     mom = moments(dist)
     vol = lattice_volume(support_points(dist))
     checks = {
-        "r": sup.r == 4,
+        "r": len(sup) == 4,
         "support": dist.support_size == 16,
         "pmf": dist.pmf_value == Fraction(1, 16),
         "cov": np.array_equal(mom.covariance, np.eye(5, dtype=np.int64)),
@@ -85,7 +83,7 @@ def test_criterion_2_second_example():
     c1 = clt_coefficient(vol1, mom1.det_cov, 5)
     c2 = clt_coefficient(vol2, mom2.det_cov, 5)
     elapsed = time.monotonic() - start
-    ok = sup2.r == 5 and vol2 == 32 and c2 == c1 / 2 and elapsed < 1.0
+    ok = len(sup2) == 5 and vol2 == 32 and c2 == c1 / 2 and elapsed < 1.0
     report(2, ok, f"r=5, V=32, coefficient ratio {c2 / c1} ({elapsed:.2f}s)")
 
 
@@ -126,10 +124,10 @@ def test_criterion_4_oracle_equivalence_sweep():
         except ValueError as exc:
             failures.append(f"trial {trial}: {exc}")
             continue
-        # tableau support equals the dense amplitude support
+        # the support of W|0...0> equals the dense amplitude support
         probs = amplitudes_squared(state)
         dense_support = {x for x in range(2**n) if probs[x] > 1e-12}
-        coset = set(bits_to_index(gf2.coset(sup.R.T, sup.t)).tolist())
+        coset = set(support_labels(sup, n).tolist())
         if coset != dense_support:
             failures.append(f"trial {trial}: support mismatch")
             continue

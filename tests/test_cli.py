@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pauliframe import cli, oracle
+from pauliframe import cli, oracle, pauli, tableau
 from pauliframe.cli import main
 
 from conftest import EXAMPLE_SET_1, EXAMPLE_SET_2, EXAMPLE_SET_3, walk_count_frame_potential
@@ -165,11 +166,47 @@ class TestSubcommands:
             calls["diagonal"] += 1
             return diagonal(op, w, wm)
 
+        def refuse(w):
+            raise AssertionError("verify ran a second gate pass for W|0...0>")
+
         monkeypatch.setattr(oracle, "unitary_from_circuit", count_unitary)
         monkeypatch.setattr(oracle, "dense_diagonal", count_diagonal)
+        monkeypatch.setattr(oracle, "dense_state_from_circuit", refuse)
         code, out, _ = run(capsys, "verify", example_file)
         assert code == 0 and json.loads(out)["passed"] is True
         assert calls == {"unitary": 1, "diagonal": 5}
+
+    @pytest.mark.parametrize(
+        "command", ["report", "distribution", "verify", "frame-potential", "diagonalize"]
+    )
+    def test_one_commutation_check_and_one_elimination(
+        self, capsys, tmp_path, monkeypatch, command
+    ):
+        # W and the law of K come from one X-block elimination, after one
+        # commutation check.  Every module that binds either function is
+        # patched, so no call path escapes the count.
+        path = tmp_path / "ops.txt"
+        path.write_text("\n".join(EXAMPLE_SET_3) + "\n")
+        calls = {"check_commuting_set": 0, "reduce_x_block": 0}
+        originals = {
+            "check_commuting_set": pauli.check_commuting_set,
+            "reduce_x_block": tableau.reduce_x_block,
+        }
+
+        def counting(name):
+            def wrapper(*args):
+                calls[name] += 1
+                return originals[name](*args)
+            return wrapper
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("pauliframe"):
+                for name, fn in originals.items():
+                    if getattr(module, name, None) is fn:
+                        monkeypatch.setattr(module, name, counting(name))
+        code, _, _ = run(capsys, command, str(path))
+        assert code == 0
+        assert calls == {"check_commuting_set": 1, "reduce_x_block": 1}
 
     def test_verify_reports_a_circuit_that_does_not_diagonalize(
         self, capsys, example_file, monkeypatch

@@ -8,13 +8,13 @@ import pytest
 from pauliframe import (
     NonCommutingSetError,
     check_commuting_set,
-    conjugate_by_circuit,
     multiply,
     parse_pauli,
     simultaneous_diagonalize,
     verify_diagonalization,
 )
 from pauliframe.oracle import bits_matrix, dense_conjugation_check
+from pauliframe.pauli import conjugate_by_circuit
 
 from conftest import random_commuting_set
 

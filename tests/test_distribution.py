@@ -25,7 +25,13 @@ from pauliframe.oracle import (
     unitary_from_circuit,
 )
 
-from conftest import dense_pmf, hadamard_qubits, random_commuting_set
+from conftest import (
+    EXAMPLE_SET_3,
+    dense_pmf,
+    hadamard_qubits,
+    random_commuting_set,
+    sets_with_dependent_rows,
+)
 
 
 class TestKRow:
@@ -77,6 +83,16 @@ class TestBuildDistribution:
         dist = build_distribution(ops)
         assert dist.b0.tolist() == [0, 1, 1, 1]
         assert dist.basis.tolist() == [[1, 0, 1, 1]]
+
+    def test_diagonalized_set_carries_the_same_law(self):
+        # simultaneous_diagonalize reads the law off the elimination that
+        # builds W; it must be build_distribution's, array for array.
+        sets = [[parse_pauli(s) for s in EXAMPLE_SET_3]]
+        sets += sets_with_dependent_rows(np.random.default_rng(71), 200)
+        for ops in sets:
+            law, dist = simultaneous_diagonalize(ops).law, build_distribution(ops)
+            for got, want in ((law.b0, dist.b0), (law.basis, dist.basis)):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
 
     def test_matches_brute_force_random_sets(self):
         rng = np.random.default_rng(201)

@@ -16,7 +16,6 @@ from pauliframe import (
     PauliString,
     build_distribution,
     check_commuting_set,
-    conjugate_by_circuit,
     gf2,
     multiply,
     parse_pauli,
@@ -40,6 +39,7 @@ from pauliframe.oracle import (
     pauli_permutation,
     unitary_from_circuit,
 )
+from pauliframe.pauli import conjugate_by_circuit
 
 from conftest import (
     mc_frame_potential_dense,

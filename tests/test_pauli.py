@@ -13,16 +13,21 @@ from pauliframe import (
     PauliParseError,
     PauliString,
     check_commuting_set,
-    commutes,
-    conjugate,
-    conjugate_by_circuit,
-    format_pauli,
     multiply,
     parse_pauli,
 )
 from pauliframe import gf2
 from pauliframe.oracle import pauli_matrix
-from pauliframe.pauli import conjugate_rows, multiply_rows, pauli_rows, row_pauli
+from pauliframe.pauli import (
+    commutes,
+    conjugate,
+    conjugate_by_circuit,
+    conjugate_rows,
+    format_pauli,
+    multiply_rows,
+    pauli_rows,
+    row_pauli,
+)
 
 from conftest import EXAMPLE_SET_1, inverse_circuit, random_clifford_circuit
 

@@ -2,19 +2,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from pauliframe import PauliString, gf2, multiply, parse_pauli, simultaneous_diagonalize
-from pauliframe.oracle import bits_to_index, dense_state_from_circuit
+from pauliframe import gf2, multiply, parse_pauli, simultaneous_diagonalize
+from pauliframe.oracle import dense_state_from_circuit
 from pauliframe.pauli import conjugate_rows, pauli_rows, row_pauli
 from pauliframe.tableau import reduce_x_block
 
-from conftest import hadamard_qubits, random_commuting_set
-
-
-def assert_support_is_unit_columns(diag, P):
-    n = diag.circuit.n
-    assert diag.support.r == len(P)
-    assert np.array_equal(diag.support.R, np.eye(n, dtype=np.uint8)[:, P])
-    assert np.array_equal(diag.support.t, np.zeros(n, dtype=np.uint8))
+from conftest import (
+    hadamard_qubits,
+    random_commuting_set,
+    sets_with_dependent_rows,
+    support_labels,
+)
 
 
 def fresh_stabilizers(w):
@@ -64,52 +62,43 @@ class TestReduceXBlock:
 
 class TestSupportOfW:
     # W|0...0> is |+> on the Hadamard qubits P of W and |0> elsewhere, so
-    # its support is R = (e_q for q in P), t = 0, r = |P|.
+    # its support is span{e_q : q in P}: the distribution fields are
+    # R = (e_q for q in P), t = 0, r = |P|.  ``support`` holds P.
 
     def test_z_only_set_has_the_zero_state(self):
         diag = simultaneous_diagonalize([parse_pauli(s) for s in ["ZII", "-IZZ"]])
         assert diag.circuit.gates == ()
-        assert_support_is_unit_columns(diag, [])
+        assert diag.support == ()
 
     def test_pivots_not_a_prefix(self):
         rows = ["ZXZIIIIIII", "IIIZXZIIII", "IIIIIIZXZI", "ZIIIIIIIIZ", "-IIZZIIIIII"]
         diag = simultaneous_diagonalize([parse_pauli(s) for s in rows])
         assert hadamard_qubits(diag.circuit) == [1, 4, 7]
-        assert_support_is_unit_columns(diag, [1, 4, 7])
+        assert diag.support == (1, 4, 7)
 
     def test_hadamard_qubits_are_first_x_bits_of_pivot_rows(self):
         # W has one block per pivot row of reduce_x_block on the input
-        # rows, ending in H on the row's first set X bit.  Repeated,
-        # sign-flipped and product rows, a product inserted before both
-        # of its factors, never become pivots.
-        rng = np.random.default_rng(53)
-        for _ in range(200):
-            n = int(rng.integers(1, 9))
-            ops = random_commuting_set(n, int(rng.integers(1, 7)), rng, n_gates=3 * n)
-            for _ in range(int(rng.integers(1, 5))):
-                i, j = (int(k) for k in rng.integers(len(ops), size=2))
-                a = ops[i]
-                flipped = PauliString(n, a.x, a.z, -a.sign)
-                new = [a, flipped, multiply(a, ops[j])][int(rng.integers(3))]
-                if not new.is_identity():
-                    ops.insert(int(rng.integers(min(i, j) + 1)), new)
+        # rows, ending in H on the row's first set X bit, and ``support``
+        # lists those qubits.  Repeated, sign-flipped and product rows, a
+        # product inserted before both of its factors, never become
+        # pivots.
+        for ops in sets_with_dependent_rows(np.random.default_rng(53), 200):
             x, z, r = pauli_rows(ops)
-            pivots = reduce_x_block(x, z, r)
+            first_x_bits = [int(np.flatnonzero(x[p])[0]) for p in reduce_x_block(x, z, r)]
             diag = simultaneous_diagonalize(ops)
-            assert hadamard_qubits(diag.circuit) == [int(np.flatnonzero(x[p])[0]) for p in pivots]
+            assert hadamard_qubits(diag.circuit) == first_x_bits
+            assert diag.support == tuple(first_x_bits)
 
     def test_support_matches_dense_oracle(self):
         # The dense state of W is 2^(-|P|/2) on span{e_q : q in P} and 0
-        # elsewhere, and the descriptor's coset is that span.
+        # elsewhere.
         rng = np.random.default_rng(29)
         for _ in range(60):
             n = int(rng.integers(1, 7))
             diag = simultaneous_diagonalize(random_commuting_set(n, int(rng.integers(1, 8)), rng))
-            P = hadamard_qubits(diag.circuit)
-            assert_support_is_unit_columns(diag, P)
-            sup = diag.support
+            assert diag.support == tuple(hadamard_qubits(diag.circuit))
             expected = np.zeros(2**n)
-            expected[bits_to_index(gf2.coset(sup.R.T, sup.t))] = 2.0 ** (-sup.r / 2)
+            expected[support_labels(diag.support, n)] = 2.0 ** (-len(diag.support) / 2)
             assert np.abs(dense_state_from_circuit(diag.circuit) - expected).max() <= 1e-12
 
     def test_r_matches_rank_and_R_full_column_rank(self):
@@ -118,8 +107,8 @@ class TestSupportOfW:
             n = int(rng.integers(1, 17))
             ops = random_commuting_set(n, int(rng.integers(1, 10)), rng, n_gates=3 * n)
             sup = simultaneous_diagonalize(ops).support
-            assert sup.r == gf2.rank(np.stack([op.x for op in ops]))
-            assert gf2.rank(sup.R) == sup.r
+            assert len(sup) == gf2.rank(np.stack([op.x for op in ops]))
+            assert gf2.rank(np.eye(n, dtype=np.uint8)[list(sup)]) == len(sup)
 
     def test_fresh_stabilizers_match_the_hadamard_qubits(self):
         # Z_1..Z_n conjugated through W stabilize W|0...0>; they generate
