@@ -380,9 +380,7 @@ def main(argv=None) -> int:
             return 0 if bad is None else EXIT_NONCOMMUTING
 
         if args.command == "verify":
-            if ops[0].n > oracle.MAX_QUBITS:
-                print("verify requires the dense oracle (n <= 10)", file=sys.stderr)
-                return EXIT_GUARD
+            oracle.check_guard(ops[0].n)
             failures = run_verify(ops)
             _emit({**head, "passed": not failures, "failures": failures}, as_json)
             return 0 if not failures else 1

@@ -3,14 +3,16 @@
 Everything here recomputes pipeline quantities from first principles:
 statevectors by direct gate application, Pauli operators as signed
 permutations of basis indices, the pmf of K by tallying amplitudes, and
-the frame potential by Monte-Carlo integration of the fidelity.  Each
-rotation exp(i theta_j H_j) maps |y> onto |y> and +-|y ^ x_j>, so after j
-steps U(theta)|0...0> lives on the 2**rank(x_1..x_j) basis states spanned
-by the first j X masks; the Monte-Carlo engine evolves it on those rows
-only, in growth order: about 2 * 2**rho rows per state for a full-rank
-set, not N * 2**rho, with the floats of evolving all 2**n rows.  Qubit 0
-is the leftmost letter of a Pauli string and the most significant bit of
-a basis index.
+the frame potential by Monte-Carlo integration of the fidelity.  The H_j
+commute, so U(theta)† U(theta') = U(theta' - theta) and each sample's
+fidelity is |<0...0| U(theta' - theta) |0...0>|**2: one evolved state per
+sample.  Each rotation exp(i theta_j H_j) maps |y> onto |y> and
++-|y ^ x_j>, so after j steps the state lives on the 2**rank(x_1..x_j)
+basis states spanned by the first j X masks; the Monte-Carlo engine
+evolves it on those rows only, in growth order: about 2 * 2**rho rows
+per sample for a full-rank set, not N * 2**rho, with the floats of
+evolving all 2**n rows.  Qubit 0 is the leftmost letter of a Pauli
+string and the most significant bit of a basis index.
 """
 
 from __future__ import annotations
@@ -39,39 +41,44 @@ class OracleGuardError(RuntimeError):
     """Dense computation requested beyond the qubit guard."""
 
 
-def _check_guard(n: int) -> None:
+def check_guard(n: int) -> None:
+    """Raise OracleGuardError if n qubits exceed the dense oracle's cap."""
     if n > MAX_QUBITS:
         raise OracleGuardError(f"dense oracle limited to n <= {MAX_QUBITS}, got {n}")
 
 
-def _apply_gate(vec: np.ndarray, gate, n: int) -> np.ndarray:
-    """Apply a gate to a state of shape (2**n,) or a batch (2**n, b)."""
-    batch = vec.shape[1:] if vec.ndim > 1 else ()
-    psi = vec.reshape((2,) * n + batch)
+def _apply_gate(vec: np.ndarray, gate, n: int) -> None:
+    """Apply a gate in place to a state (2**n,) or a batch (2**n, b): part i
+    of its (2,)*n view fixes the gate's qubits to the bits of i, first
+    qubit most significant, and becomes sum_k u[i, k] part_k."""
+    psi = vec.reshape((2,) * n + vec.shape[1:])
     u = _GATE_MATRICES[gate.name]
-    k = len(gate.qubits)
-    psi = np.moveaxis(psi, gate.qubits, range(k))
-    psi = (u @ psi.reshape(2**k, -1)).reshape(psi.shape)
-    psi = np.moveaxis(psi, range(k), gate.qubits)
-    return psi.reshape((2**n,) + batch)
+    index, parts = [slice(None)] * n + [...], []
+    for bits in np.ndindex((2,) * len(gate.qubits)):
+        for q, bit in zip(gate.qubits, bits):
+            index[q] = bit
+        parts.append(psi[tuple(index)])
+    old = [part.copy() for part in parts]
+    for row, part in zip(u, parts):
+        part[...] = sum(row[j] * old[j] for j in np.flatnonzero(row))
 
 
 def dense_state_from_circuit(w: CliffordCircuit) -> np.ndarray:
     """State vector of W|0...0>."""
-    _check_guard(w.n)
+    check_guard(w.n)
     vec = np.zeros(2**w.n, dtype=np.complex128)
     vec[0] = 1.0
     for g in w.gates:
-        vec = _apply_gate(vec, g, w.n)
+        _apply_gate(vec, g, w.n)
     return vec
 
 
 def unitary_from_circuit(w: CliffordCircuit) -> np.ndarray:
     """Full 2**n x 2**n matrix of the circuit."""
-    _check_guard(w.n)
+    check_guard(w.n)
     mat = np.eye(2**w.n, dtype=np.complex128)
     for g in w.gates:
-        mat = _apply_gate(mat, g, w.n)
+        _apply_gate(mat, g, w.n)
     return mat
 
 
@@ -97,7 +104,7 @@ def bits_matrix(n: int) -> np.ndarray:
 
 def pauli_permutation(p: PauliString) -> tuple[np.ndarray, np.ndarray]:
     """Signed-permutation form: P|x> = phases[x] |targets[x]>."""
-    _check_guard(p.n)
+    check_guard(p.n)
     targets = np.arange(2**p.n, dtype=np.int64) ^ bits_to_index(p.x)
     z_parity = (bits_matrix(p.n) @ p.z.astype(np.int64)) % 2
     n_y = int((p.x & p.z).sum())
@@ -120,7 +127,7 @@ def pauli_matrix(p: PauliString) -> np.ndarray:
 
 def dense_conjugation_check(op: PauliString, w: CliffordCircuit) -> np.ndarray:
     """W H W† as a dense matrix."""
-    _check_guard(op.n)
+    check_guard(op.n)
     wm = unitary_from_circuit(w)
     return wm @ apply_pauli(op, wm.conj().T)
 
@@ -185,12 +192,12 @@ def _plan(perms) -> tuple[np.ndarray, list]:
         m, r = int(targets[0]), len(rows).bit_length() - 1
         kappa = int(where[m])
         if kappa < 0:
-            steps.append((None, 1j * phases[rows, None, None]))
+            steps.append((None, 1j * phases[rows, None]))
             rows = np.concatenate([rows, rows ^ m])
             where[rows[1 << r :]] = np.arange(1 << r, 2 << r)
         else:
             axes = tuple(r - 1 - b for b in range(r) if kappa >> b & 1)
-            steps.append((axes, 1j * phases[rows ^ m, None, None]))
+            steps.append((axes, 1j * phases[rows ^ m, None]))
     return rows, steps
 
 
@@ -200,15 +207,15 @@ def _reachable(perms) -> np.ndarray:
 
 
 def _evolve(steps, thetas: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """prod_j exp(i theta_j H_j)|0...0> for thetas (N, 2, w), held in
-    work[0] of work (2, 2**rho, 2, w) in plan order; work[1] is scratch.
+    """prod_j exp(i theta_j H_j)|0...0> for each column of thetas (N, w),
+    held in work[0] of work (2, 2**rho, w) in plan order; work[1] is scratch.
     A doubling step writes hi = (lo * s) * f and then lo *= c; a permutation
     step adds flip(lo) * s * f to lo *= c.  cos and sin are complex with a
     zero imaginary part, so no product casts, for <= _BLOCK angles at once."""
     state, tmp = work
-    w = thetas.shape[2]
-    chunk = max(1, _BLOCK // (2 * w))
-    trig = np.zeros((2, min(chunk, len(steps)), 2, w), dtype=np.complex128)
+    w = thetas.shape[1]
+    chunk = max(1, _BLOCK // w)
+    trig = np.zeros((2, min(chunk, len(steps)), w), dtype=np.complex128)
     state[0] = 1.0
     size = 1
     for j, (axes, f) in enumerate(steps):
@@ -234,68 +241,54 @@ def _evolve(steps, thetas: np.ndarray, work: np.ndarray) -> np.ndarray:
 
 def fidelity(ops: list[PauliString], theta, theta_prime) -> float:
     """|<0| U(theta)† U(theta') |0>|^2 by direct statevector evolution."""
-    _check_guard(ops[0].n)
+    check_guard(ops[0].n)
     theta, theta_prime = np.ravel(theta), np.ravel(theta_prime)
     if len(theta) != len(ops) or len(theta_prime) != len(ops):
         raise ValueError("parameter vector length must equal the gate count")
-    thetas = np.stack([theta, theta_prime], axis=1).astype(np.float64)[..., None]
+    thetas = np.stack([theta, theta_prime], axis=1).astype(np.float64)
     rows, steps = _plan([pauli_permutation(op) for op in ops])
-    psi = _evolve(steps, thetas, np.empty((2, len(rows), 2, 1), dtype=np.complex128))
-    order = np.argsort(rows)
-    return float(np.abs(np.vdot(psi[order, 0, 0], psi[order, 1, 0])) ** 2)
+    psi = _evolve(steps, thetas, np.empty((2, len(rows), 2), dtype=np.complex128))
+    return float(np.abs(np.vdot(psi[:, 0], psi[:, 1])) ** 2)
 
 
 def mc_frame_potential(ops: list[PauliString], t, samples: int, seed: int):
     """Monte-Carlo estimate of the frame potential and its standard error;
     a sequence of t values shares one evolution and gives a list of pairs.
 
-    Draws from [-pi, pi]^(2N) come from a Philox stream keyed by the seed,
-    in batches of min(2**14, 2**22 / 2**n) samples, and each t sums each
-    batch's |overlap|**(2t) with math.fsum.  Blocks of about _BLOCK / 2**rho
-    samples evolve both states side by side (``_evolve``).  The floats are
-    those of all 2**n rows: an update is round(c a) + round(+-s a'), each
-    complex product in it has one nonzero term, so it is exact, FMA or not,
-    and only the sign of a zero, which never reaches |overlap|**2, can
-    differ.  conj(psi) psi' is numpy's in-place multiply on (rows, w) arrays
-    in increasing basis-index order, summed row by row as with the zero
-    rows in place; numpy sums a lone column pairwise, so a one-sample batch
-    is scattered onto all 2**n rows first.
+    Draws (theta, theta') from [-pi, pi]^(2N) come from a Philox stream
+    keyed by the seed, in batches of min(2**14, 2**22 / 2**n) samples; a
+    sample's fidelity is |amplitude|**2 at row 0, |0...0>, of
+    U(theta' - theta)|0...0>.  Blocks of _BLOCK / 2**rho samples evolve
+    together (``_evolve``), and each t sums each batch's fidelity**t with
+    math.fsum.  The floats are those of evolving all 2**n rows: an update
+    is round(c a) + round(+-s a'), each complex product in it has one
+    nonzero term, so it is exact, FMA or not, and only the sign of a zero,
+    which never reaches |amplitude|**2, can differ.
     """
     if samples <= 0:
         raise ValueError("sample count must be positive")
     n = ops[0].n
-    _check_guard(n)
+    check_guard(n)
     t_values = (t,) if np.ndim(t) == 0 else tuple(t)
     rng = np.random.Generator(np.random.Philox(key=seed))
     rows, steps = _plan([pauli_permutation(op) for op in ops])
-    order, size, num = np.argsort(rows), len(rows), len(ops)
-    cols = max(2, _BLOCK // size)
+    size, num = len(rows), len(ops)
+    cols = max(1, _BLOCK // size)
     sums = [[0.0, 0.0] for _ in t_values]
     batch = min(1 << 14, (1 << 22) >> n)
-    work = np.empty((2, 2 * size * min(2 * cols, batch)), dtype=np.complex128)
+    work = np.empty((2, size * min(cols, batch)), dtype=np.complex128)
     done = 0
     while done < samples:
         b = min(batch, samples - done)
         draws = rng.uniform(-math.pi, math.pi, size=(b, 2 * num))
-        thetas = draws.T.reshape(2, num, b).transpose(1, 0, 2)
-        overlap = np.empty(b)
-        blocks = max(1, b // cols)
-        for k in range(blocks):
-            lo, hi = b * k // blocks, b * (k + 1) // blocks
-            view = work[:, : 2 * size * (hi - lo)].reshape(2, size, 2, hi - lo)
-            psi = _evolve(steps, thetas[:, :, lo:hi], view)
-            if b > 1:
-                prod, other = view[1].reshape(2, size, hi - lo)
-                np.take(psi[:, 0], order, axis=0, out=prod, mode="clip")
-                np.take(psi[:, 1], order, axis=0, out=other, mode="clip")
-            else:
-                prod, other = np.zeros((2, 2**n, 1), dtype=np.complex128)
-                prod[rows], other[rows] = psi[:, 0], psi[:, 1]
-            np.conjugate(prod, out=prod)
-            prod *= other
-            overlap[lo:hi] = np.abs(np.sum(prod, axis=0)) ** 2
+        deltas = (draws[:, num:] - draws[:, :num]).T
+        fid = np.empty(b)
+        for lo in range(0, b, cols):
+            hi = min(lo + cols, b)
+            view = work[:, : size * (hi - lo)].reshape(2, size, hi - lo)
+            fid[lo:hi] = np.abs(_evolve(steps, deltas[:, lo:hi], view)[0]) ** 2
         for tv, acc in zip(t_values, sums):
-            vals = overlap**tv
+            vals = fid**tv
             acc[0] += math.fsum(vals.tolist())
             acc[1] += math.fsum((vals**2).tolist())
         done += b

@@ -194,11 +194,13 @@ def hnf_volume(points) -> int | None:
 
 
 def mc_frame_potential_dense(ops: list[PauliString], t: int, samples: int, seed: int):
-    """Monte-Carlo F(t) evolved on all 2**n basis states, two states per batch.
+    """Monte-Carlo F(t) evolved on all 2**n basis states, one state per sample.
 
-    The test oracle for ``oracle.mc_frame_potential``, which evolves only
-    the basis states reachable from |0...0> in cache-sized blocks and must
-    return the same floats.
+    Each sample's fidelity is |<0...0| U(theta' - theta) |0...0>|**2 for
+    the same Philox draws (theta, theta').  The test oracle for
+    ``oracle.mc_frame_potential``, which evolves only the basis states
+    reachable from |0...0>, in growth order and cache-sized blocks, and
+    must return the same floats.
     """
     from pauliframe.oracle import pauli_permutation
 
@@ -224,12 +226,8 @@ def mc_frame_potential_dense(ops: list[PauliString], t: int, samples: int, seed:
     while done < samples:
         b = min(batch, samples - done)
         draws = rng.uniform(-math.pi, math.pi, size=(b, 2 * num))
-        s1 = rotation_states(perms, draws[:, :num], n)
-        s2 = rotation_states(perms, draws[:, num:], n)
-        np.conjugate(s1, out=s1)
-        s1 *= s2
-        overlap = np.abs(np.sum(s1, axis=0)) ** 2
-        vals = overlap**t
+        state = rotation_states(perms, draws[:, num:] - draws[:, :num], n)
+        vals = (np.abs(state[0]) ** 2) ** t
         total += math.fsum(vals.tolist())
         total_sq += math.fsum((vals**2).tolist())
         done += b

@@ -348,6 +348,22 @@ class TestExitCodes:
         assert "pair (1, 2)" in err
 
     @pytest.mark.parametrize(
+        "argv", [["verify"], ["frame-potential", "--mc-samples", "1"]]
+    )
+    def test_dense_oracle_guard_exit_4(self, capsys, tmp_path, monkeypatch, argv):
+        # One qubit past the cap: the guard fires before W is synthesized.
+        n = oracle.MAX_QUBITS + 1
+        path = tmp_path / "wide.txt"
+        path.write_text("X" * n + "\n")
+        monkeypatch.setattr(cli, "simultaneous_diagonalize", None)
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert code == 4
+        assert out == ""
+        assert err == (
+            f"resource guard: dense oracle limited to n <= {oracle.MAX_QUBITS}, got {n}\n"
+        )
+
+    @pytest.mark.parametrize(
         "content", ["XX\nZZ\n", "Z\n"], ids=["nondegenerate", "degenerate"]
     )
     @pytest.mark.parametrize("command", ["report", "frame-potential"])

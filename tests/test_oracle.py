@@ -45,6 +45,7 @@ from conftest import (
     mc_frame_potential_dense,
     random_clifford_circuit,
     random_commuting_set,
+    sets_with_dependent_rows,
 )
 
 
@@ -276,10 +277,9 @@ class TestMonteCarlo:
             mc_frame_potential([parse_pauli("X")], 1, 0, seed=0)
 
     def test_batch_memory_bounded_at_max_qubits(self):
-        # At n = 10 a batch holds 2**22 amplitudes (64 MiB of complex128);
-        # the two state batches and one rotation step's in-place update
-        # stay under five of those.  A 2**13-sample batch would need
-        # twice that.
+        # At n = 10 a draw batch is 2**12 samples, one state of 2**22
+        # amplitudes (64 MiB of complex128) if evolved whole; blocks of
+        # _BLOCK amplitudes keep the peak far under five of those.
         ops = [parse_pauli("X" + "I" * (MAX_QUBITS - 1))]
         tracemalloc.start()
         try:
@@ -289,6 +289,46 @@ class TestMonteCarlo:
             tracemalloc.stop()
         assert peak < 5 * (1 << 22) * 16
         assert abs(est - 1 / 2) < 3 * err  # F(1) = E cos^2 = 1/2
+
+
+def y_heavy_set(n: int, rng) -> list[PauliString]:
+    """Y-type strings, which commute pairwise; one with an odd number of Y
+    letters has phases +-i."""
+    return [
+        PauliString(n, y, y, int(rng.choice([-1, 1])))
+        for y in rng.integers(0, 2, size=(n + 2, n)).astype(np.uint8)
+        if y.any()
+    ]
+
+
+def assert_terms_are_fidelities(ops, samples, seed):
+    """The t = 1 terms of mc_frame_potential are fidelity(theta, theta') of
+    the seed's Philox draws, sample by sample."""
+    num = len(ops)
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    draws = rng.uniform(-math.pi, math.pi, size=(samples, 2 * num))
+    terms = mc_terms(mc_frame_potential, ops, 1, samples, seed)[1][0]
+    expected = [fidelity(ops, d[:num], d[num:]) for d in draws]
+    assert np.abs(np.subtract(terms, expected)).max() < 1e-12
+
+
+class TestShiftIdentity:
+    """Each Monte-Carlo sample is |<0|U(theta' - theta)|0>|^2, which equals
+    the two-state fidelity because the H_j commute."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(commuting_sets(), st.integers(1, 40), st.integers(0, 2**32 - 1))
+    def test_terms_are_two_state_fidelities(self, ops, samples, seed):
+        assert_terms_are_fidelities(ops, samples, seed)
+
+    def test_y_heavy_sets(self):
+        rng = np.random.default_rng(34)
+        for n in (2, 5, 7):
+            assert_terms_are_fidelities(y_heavy_set(n, rng), 50, n)
+
+    def test_sets_with_dependent_rows(self):
+        for k, ops in enumerate(sets_with_dependent_rows(np.random.default_rng(35), 30)):
+            assert_terms_are_fidelities(ops, 20, k)
 
 
 class TestReachableRows:
@@ -318,7 +358,7 @@ class TestReachableRows:
     @pytest.mark.parametrize("rho", [2, 5, 7])
     def test_one_sample_past_a_block(self, rho):
         # A block holds _BLOCK / 2**rho samples; a lone leftover sample
-        # must not form a one-column block.
+        # forms a one-column block, whose floats are those of any other.
         ops = ranked_commuting_set(7, rho, 1, np.random.default_rng(rho))
         for samples in ((_BLOCK >> rho) + 1, 3 * (_BLOCK >> rho) + 1):
             args = (ops, 2, samples, rho)
