@@ -14,7 +14,6 @@ from .distribution import (
     support_points,
 )
 from .lattice import (
-    DegenerateLatticeError,
     QuadratureCapError,
     clt_coefficient,
     clt_frame_potential,
@@ -35,7 +34,6 @@ from .pauli import (
 __all__ = [
     "CliffordCircuit",
     "CliffordGate",
-    "DegenerateLatticeError",
     "DiagonalizedSet",
     "KDistribution",
     "MomentReport",

@@ -51,9 +51,11 @@ SCHEMA_VERSION = 1
 
 
 class InputFileError(ValueError):
-    def __init__(self, line: int, message: str):
+    """A parse failure at an input line, or of the whole input (line None)."""
+
+    def __init__(self, line: int | None, message: str):
         self.line = line
-        super().__init__(f"line {line}: {message}")
+        super().__init__(message if line is None else f"line {line}: {message}")
 
 
 def load_pauli_file(path: str):
@@ -86,7 +88,7 @@ def load_pauli_file(path: str):
             n = op.n
         ops.append(op)
     if not ops:
-        raise InputFileError(0, "no Pauli strings in input")
+        raise InputFileError(None, "no Pauli strings in input")
     return ops
 
 
@@ -149,11 +151,7 @@ def _frame_fields(ops, dist, mom, t_values, exact, mc_samples, seed) -> dict:
     mc = None
     for t in t_values:
         entry = {"t": t}
-        entry["clt"] = (
-            None
-            if degenerate
-            else lattice.clt_frame_potential(vol, mom.det_cov, dist.N, t)
-        )
+        entry["clt"] = None if degenerate else lattice.clt_frame_potential(vol, dist.N, t)
         if exact:
             entry["exact"] = lattice.exact_frame_potential(dist, t)
         if mc_samples > 0:
@@ -163,11 +161,7 @@ def _frame_fields(ops, dist, mom, t_values, exact, mc_samples, seed) -> dict:
         values.append(entry)
     return {
         "V_U": "degenerate" if degenerate else vol,
-        "clt_coefficient": (
-            None
-            if degenerate
-            else lattice.clt_coefficient(vol, mom.det_cov, dist.N)
-        ),
+        "clt_coefficient": None if degenerate else lattice.clt_coefficient(vol, dist.N),
         "values": values,
     }
 
@@ -201,7 +195,7 @@ def run_verify(ops) -> list[str]:
             failures.append(f"operator {j}: dense diagonal disagrees with (A, s)")
         diagonals.append(dd)
     state = wm[:, 0]
-    probs = oracle.amplitudes_squared(state)
+    probs = np.abs(state) ** 2
     dense_support = np.flatnonzero(probs > 1e-12)
     units = np.eye(n, dtype=np.uint8)[list(sup)]
     coset = np.sort(oracle.bits_to_index(gf2.coset(units, np.zeros(n, dtype=np.uint8))))
@@ -336,8 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_frame_options(p):
         p.add_argument(
-            "--t", type=_int_in(1), action="append", default=None, metavar="T",
-            help="frame-potential order (repeatable)",
+            "--t", type=_int_in(1, 2**63), action="append", default=None, metavar="T",
+            help="frame-potential order, in [1, 2**63) (repeatable)",
         )
         p.add_argument("--exact", action="store_true",
                        help="also compute the exact frame potential")

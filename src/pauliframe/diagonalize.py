@@ -109,14 +109,14 @@ def simultaneous_diagonalize(ops: list[PauliString]) -> DiagonalizedSet:
     for k in range(N, len(x)):
         q, *targets = np.flatnonzero(x[k]).tolist()
         for q2 in targets:
-            apply(CliffordGate.cnot(q, q2))
+            apply(CliffordGate("CNOT", (q, q2)))
         for q2 in np.flatnonzero(z[k]).tolist():
             if q2 != q:
-                apply(CliffordGate.cz(q, q2))
+                apply(CliffordGate("CZ", (q, q2)))
         if z[k, q]:
-            apply(CliffordGate.s(q))
+            apply(CliffordGate("S", (q,)))
         assert np.flatnonzero(x[k]).tolist() == [q] and not z[k].any()
-        apply(CliffordGate.h(q))
+        apply(CliffordGate("H", (q,)))
         pivot_qubits.append(q)
 
     assert not x.any(), "elimination left an X component"

@@ -7,9 +7,11 @@ ranks alone: the support is a coset of the binary code C, and V_U is
 fixed by the dimensions of the Schur powers of C (``lattice_volume``).
 V_U enters the central-limit approximation of the frame potential
 
-    F~(t) = V_U / sqrt((4 pi t)^N det Cov(K)),
+    F~(t) = V_U / sqrt((4 pi t)^N),
 
-evaluated in log space where the direct form would overflow a float,
+defined where det Cov(K) = 1 (``distribution.moments`` shows that Cov(K)
+is the identity or singular), evaluated in log space where the direct
+form would overflow a float,
 and the exact frame potential P(walk returns to 0 after t steps) equals
 the DC Fourier coefficient of |phi_K|^(2t), computed here exactly from
 one DFT of the indicator of the support, taken in slabs.
@@ -25,10 +27,6 @@ from . import gf2
 from .distribution import KDistribution, support_points
 
 GRID_CAP = 10**8
-
-
-class DegenerateLatticeError(ValueError):
-    """The increment lattice does not have full rank N."""
 
 
 class QuadratureCapError(RuntimeError):
@@ -114,18 +112,20 @@ def lattice_volume(points) -> int | None:
         pivots = level_pivots
 
 
-def _clt_value(quantity: str, volume: int, det_cov, N: int, scale: float) -> float:
-    """V / sqrt(scale^N det Cov), in log space only where a float overflows."""
-    det_cov = float(det_cov)
-    if det_cov <= 0:
-        raise DegenerateLatticeError("covariance is singular; CLT formula inapplicable")
+def _clt_value(quantity: str, volume: int, N: int, scale: float) -> float:
+    """V / sqrt(scale^N), in log space only where a float overflows.
+
+    scale^N overflows a float for large N, and underflows to 0 (a
+    ZeroDivisionError) for N >= 2 and t far below 1, where the value
+    itself may still be a float.
+    """
     try:
-        value = volume / math.sqrt(scale**N * det_cov)
+        value = volume / math.sqrt(scale**N)
     except (OverflowError, ZeroDivisionError):
         value = math.inf
     if math.isfinite(value):
         return value
-    log_value = math.log(volume) - (N * math.log(scale) + math.log(det_cov)) / 2
+    log_value = math.log(volume) - N * math.log(scale) / 2
     try:
         return math.exp(log_value)
     except OverflowError:
@@ -134,16 +134,16 @@ def _clt_value(quantity: str, volume: int, det_cov, N: int, scale: float) -> flo
         ) from None
 
 
-def clt_frame_potential(volume: int, det_cov, N: int, t: float) -> float:
-    """V / sqrt((4 pi t)^N det Cov)."""
+def clt_frame_potential(volume: int, N: int, t: float) -> float:
+    """V / sqrt((4 pi t)^N) for a law with Cov(K) = I."""
     if t <= 0:
         raise ValueError("t must be positive")
-    return _clt_value(f"CLT frame potential at t={t}", volume, det_cov, N, 4 * math.pi * t)
+    return _clt_value(f"CLT frame potential at t={t}", volume, N, 4 * math.pi * t)
 
 
-def clt_coefficient(volume: int, det_cov, N: int) -> float:
+def clt_coefficient(volume: int, N: int) -> float:
     """Coefficient c with F~(t) = c * t^(-N/2)."""
-    return _clt_value("CLT coefficient", volume, det_cov, N, 4 * math.pi)
+    return _clt_value("CLT coefficient", volume, N, 4 * math.pi)
 
 
 def exact_frame_potential(d: KDistribution, t: int) -> float:

@@ -63,16 +63,6 @@ def _apply_gate(vec: np.ndarray, gate, n: int) -> None:
         part[...] = sum(row[j] * old[j] for j in np.flatnonzero(row))
 
 
-def dense_state_from_circuit(w: CliffordCircuit) -> np.ndarray:
-    """State vector of W|0...0>."""
-    check_guard(w.n)
-    vec = np.zeros(2**w.n, dtype=np.complex128)
-    vec[0] = 1.0
-    for g in w.gates:
-        _apply_gate(vec, g, w.n)
-    return vec
-
-
 def unitary_from_circuit(w: CliffordCircuit) -> np.ndarray:
     """Full 2**n x 2**n matrix of the circuit."""
     check_guard(w.n)
@@ -80,11 +70,6 @@ def unitary_from_circuit(w: CliffordCircuit) -> np.ndarray:
     for g in w.gates:
         _apply_gate(mat, g, w.n)
     return mat
-
-
-def amplitudes_squared(state: np.ndarray) -> np.ndarray:
-    """Entrywise |amplitude|^2 (sums to 1 for a normalized state)."""
-    return np.abs(state) ** 2
 
 
 def bits_to_index(u):
@@ -110,26 +95,6 @@ def pauli_permutation(p: PauliString) -> tuple[np.ndarray, np.ndarray]:
     n_y = int((p.x & p.z).sum())
     phases = p.sign * (1j**n_y) * ((-1.0) ** z_parity)
     return targets, phases.astype(np.complex128)
-
-
-def apply_pauli(p: PauliString, vec: np.ndarray) -> np.ndarray:
-    """P @ vec for a state (2**n,) or batch (2**n, b)."""
-    targets, phases = pauli_permutation(p)
-    out = np.empty_like(vec)
-    out[targets] = (phases if vec.ndim == 1 else phases[:, None]) * vec
-    return out
-
-
-def pauli_matrix(p: PauliString) -> np.ndarray:
-    """Full dense matrix of a Pauli string (test helper)."""
-    return apply_pauli(p, np.eye(2**p.n, dtype=np.complex128))
-
-
-def dense_conjugation_check(op: PauliString, w: CliffordCircuit) -> np.ndarray:
-    """W H W† as a dense matrix."""
-    check_guard(op.n)
-    wm = unitary_from_circuit(w)
-    return wm @ apply_pauli(op, wm.conj().T)
 
 
 def dense_diagonal(op: PauliString, w: CliffordCircuit, wm=None) -> np.ndarray:
@@ -161,7 +126,7 @@ def brute_pmf_K(
     rationalized (weights are dyadic with denominator dividing 2**n for
     a stabilizer state).
     """
-    weights = amplitudes_squared(state)
+    weights = np.abs(state) ** 2
     pmf: dict[tuple[int, ...], Fraction] = {}
     denom = len(weights)
     for x in range(denom):
@@ -199,11 +164,6 @@ def _plan(perms) -> tuple[np.ndarray, list]:
             axes = tuple(r - 1 - b for b in range(r) if kappa >> b & 1)
             steps.append((axes, 1j * phases[rows ^ m, None]))
     return rows, steps
-
-
-def _reachable(perms) -> np.ndarray:
-    """The span of the X masks, the rows U(theta)|0...0> reaches, sorted."""
-    return np.sort(_plan(perms)[0])
 
 
 def _evolve(steps, thetas: np.ndarray, work: np.ndarray) -> np.ndarray:

@@ -114,14 +114,6 @@ def format_pauli(p: PauliString) -> str:
     return ("-" if p.sign < 0 else "") + body
 
 
-def commutes(p: PauliString, q: PauliString) -> bool:
-    """Symplectic commutation test: p.x . q.z ^ p.z . q.x == 0."""
-    if p.n != q.n:
-        raise ValueError(f"size mismatch: {p.n} vs {q.n}")
-    sp = int(p.x @ q.z.astype(np.int64) + p.z @ q.x.astype(np.int64)) % 2
-    return sp == 0
-
-
 def check_commuting_set(ops: list[PauliString]) -> tuple[int, int] | None:
     """Return None if all pairs commute, else the first violating (i, j).
 
@@ -183,30 +175,6 @@ class CliffordGate:
             raise ValueError(f"unknown gate {self.name!r}")
         if any(q < 0 for q in self.qubits):
             raise ValueError("negative qubit index")
-
-    @classmethod
-    def h(cls, q: int) -> "CliffordGate":
-        return cls("H", (q,))
-
-    @classmethod
-    def s(cls, q: int) -> "CliffordGate":
-        return cls("S", (q,))
-
-    @classmethod
-    def x(cls, q: int) -> "CliffordGate":
-        return cls("X", (q,))
-
-    @classmethod
-    def z(cls, q: int) -> "CliffordGate":
-        return cls("Z", (q,))
-
-    @classmethod
-    def cnot(cls, c: int, t: int) -> "CliffordGate":
-        return cls("CNOT", (c, t))
-
-    @classmethod
-    def cz(cls, a: int, b: int) -> "CliffordGate":
-        return cls("CZ", (a, b))
 
 
 @dataclass(frozen=True)
@@ -297,19 +265,3 @@ def conjugate_rows(x: np.ndarray, z: np.ndarray, r: np.ndarray, g: CliffordGate)
     else:
         raise ValueError(f"unknown gate {g.name!r}")
 
-
-def conjugate(p: PauliString, g: CliffordGate) -> PauliString:
-    """Conjugation g p g† with sign tracking."""
-    x, z, r = pauli_rows([p])
-    conjugate_rows(x, z, r, g)
-    return row_pauli(x, z, r, 0)
-
-
-def conjugate_by_circuit(p: PauliString, w: CliffordCircuit) -> PauliString:
-    """Conjugate by the circuit's gates in application order."""
-    if p.n != w.n:
-        raise ValueError(f"size mismatch: {p.n} vs {w.n}")
-    x, z, r = pauli_rows([p])
-    for g in w.gates:
-        conjugate_rows(x, z, r, g)
-    return row_pauli(x, z, r, 0)

@@ -39,6 +39,53 @@ def random_clifford_circuit(n: int, n_gates: int, rng: np.random.Generator) -> C
     return CliffordCircuit(n, tuple(gates))
 
 
+def conjugate_ops(ops: list[PauliString], w: CliffordCircuit) -> list[PauliString]:
+    """The strings W P W†, by the row engine ``pauli.conjugate_rows``."""
+    from pauliframe.pauli import conjugate_rows, pauli_rows, row_pauli
+
+    x, z, r = pauli_rows(ops)
+    if x.shape[1] != w.n:
+        raise ValueError(f"size mismatch: {x.shape[1]} vs {w.n}")
+    for g in w.gates:
+        conjugate_rows(x, z, r, g)
+    return [row_pauli(x, z, r, k) for k in range(len(ops))]
+
+
+def commutes(p: PauliString, q: PauliString) -> bool:
+    """Pairwise symplectic commutation test: p.x . q.z ^ p.z . q.x == 0.
+
+    The reference for ``pauli.check_commuting_set``, which takes every
+    pair at once as a block matrix product.
+    """
+    if p.n != q.n:
+        raise ValueError(f"size mismatch: {p.n} vs {q.n}")
+    return int(p.x @ q.z.astype(np.int64) + p.z @ q.x.astype(np.int64)) % 2 == 0
+
+
+def apply_pauli(p: PauliString, vec: np.ndarray) -> np.ndarray:
+    """P @ vec for a state (2**n,) or batch (2**n, b), from the signed
+    permutation of ``oracle.pauli_permutation``."""
+    from pauliframe.oracle import pauli_permutation
+
+    targets, phases = pauli_permutation(p)
+    out = np.empty_like(vec)
+    out[targets] = (phases if vec.ndim == 1 else phases[:, None]) * vec
+    return out
+
+
+def pauli_matrix(p: PauliString) -> np.ndarray:
+    """Full dense matrix of a Pauli string."""
+    return apply_pauli(p, np.eye(2**p.n, dtype=np.complex128))
+
+
+def dense_conjugation_check(op: PauliString, w: CliffordCircuit) -> np.ndarray:
+    """W H W† as a dense matrix."""
+    from pauliframe.oracle import unitary_from_circuit
+
+    wm = unitary_from_circuit(w)
+    return wm @ apply_pauli(op, wm.conj().T)
+
+
 def random_commuting_set(
     n: int, N: int, rng: np.random.Generator, n_gates: int = 20
 ) -> list[PauliString]:
@@ -46,8 +93,6 @@ def random_commuting_set(
 
     The result pairwise commutes by construction and contains no identity.
     """
-    from pauliframe.pauli import conjugate_by_circuit
-
     w = random_clifford_circuit(n, n_gates, rng)
     ops = []
     for _ in range(N):
@@ -55,9 +100,8 @@ def random_commuting_set(
         while not z.any():
             z = rng.integers(0, 2, size=n).astype(np.uint8)
         sign = -1 if rng.random() < 0.5 else 1
-        p = PauliString(n, np.zeros(n, dtype=np.uint8), z, sign)
-        ops.append(conjugate_by_circuit(p, w))
-    return ops
+        ops.append(PauliString(n, np.zeros(n, dtype=np.uint8), z, sign))
+    return conjugate_ops(ops, w)
 
 
 def sets_with_dependent_rows(rng: np.random.Generator, count: int):
@@ -97,16 +141,11 @@ def support_labels(support: tuple[int, ...], n: int) -> np.ndarray:
 
 def dense_pmf(ops: list[PauliString], w: CliffordCircuit) -> dict:
     """pmf of K tallied by the dense oracle from the unitary of W."""
-    from pauliframe.oracle import (
-        brute_pmf_K,
-        dense_diagonal,
-        dense_state_from_circuit,
-        unitary_from_circuit,
-    )
+    from pauliframe.oracle import brute_pmf_K, dense_diagonal, unitary_from_circuit
 
     wm = unitary_from_circuit(w)
     diagonals = np.stack([dense_diagonal(op, w, wm) for op in ops])
-    return brute_pmf_K(diagonals, dense_state_from_circuit(w))
+    return brute_pmf_K(diagonals, wm[:, 0])
 
 
 def inverse_circuit(w: CliffordCircuit) -> CliffordCircuit:

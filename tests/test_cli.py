@@ -155,8 +155,10 @@ class TestSubcommands:
         assert doc["V_U"] == 64 and doc["support_size"] == 16
 
     def test_verify_builds_one_unitary(self, capsys, example_file, monkeypatch):
-        calls = {"unitary": 0, "diagonal": 0}
+        calls = {"unitary": 0, "diagonal": 0, "gate": 0}
         unitary, diagonal = oracle.unitary_from_circuit, oracle.dense_diagonal
+        apply_gate = oracle._apply_gate
+        w = cli.simultaneous_diagonalize(cli.load_pauli_file(example_file)).circuit
 
         def count_unitary(w):
             calls["unitary"] += 1
@@ -166,15 +168,17 @@ class TestSubcommands:
             calls["diagonal"] += 1
             return diagonal(op, w, wm)
 
-        def refuse(w):
-            raise AssertionError("verify ran a second gate pass for W|0...0>")
+        def count_gate(vec, gate, n):
+            calls["gate"] += 1
+            return apply_gate(vec, gate, n)
 
         monkeypatch.setattr(oracle, "unitary_from_circuit", count_unitary)
         monkeypatch.setattr(oracle, "dense_diagonal", count_diagonal)
-        monkeypatch.setattr(oracle, "dense_state_from_circuit", refuse)
+        monkeypatch.setattr(oracle, "_apply_gate", count_gate)
         code, out, _ = run(capsys, "verify", example_file)
         assert code == 0 and json.loads(out)["passed"] is True
-        assert calls == {"unitary": 1, "diagonal": 5}
+        # One dense pass over W's gates: W|0...0> is read off the unitary.
+        assert calls == {"unitary": 1, "diagonal": 5, "gate": len(w.gates)}
 
     @pytest.mark.parametrize(
         "command", ["report", "distribution", "verify", "frame-potential", "diagonalize"]
@@ -370,7 +374,8 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "flags",
         [["--t", "0"], ["--t", "-1"], ["--t", "0", "--exact"], ["--t", "two"],
-         ["--mc-samples", "-5"], ["--seed", "-1"], ["--seed", str(2**128)]],
+         ["--mc-samples", "-5"], ["--seed", "-1"], ["--seed", str(2**128)],
+         ["--t", str(2**63)], ["--t", str(10**400)]],
     )
     def test_invalid_flag_values_exit_2(self, capsys, tmp_path, content, command, flags):
         path = tmp_path / "ops.txt"
@@ -390,6 +395,30 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--seed" in captured.err
+
+    def test_largest_t_runs(self, capsys, example_file):
+        # 2**63 - 1, the largest --t, fits the CLT's float and the
+        # Monte Carlo's fidelity**t.
+        t = str(2**63 - 1)
+        code, out, err = run(
+            capsys, "frame-potential", example_file, "--t", t, "--mc-samples", "10"
+        )
+        assert code == 0 and err == ""
+        assert [entry["t"] for entry in json.loads(out)["values"]] == [2**63 - 1]
+
+    @pytest.mark.parametrize("content", ["", "# comment only\n\n   \n"], ids=["empty", "comments"])
+    @pytest.mark.parametrize(
+        "command",
+        ["report", "verify", "distribution", "diagonalize", "frame-potential", "check"],
+    )
+    def test_input_without_strings_is_parse_error(self, capsys, tmp_path, content, command):
+        # No line is at fault, so the message names none.
+        path = tmp_path / "ops.txt"
+        path.write_text(content)
+        code, out, err = run(capsys, command, str(path))
+        assert code == 2
+        assert out == ""
+        assert err == "parse error: no Pauli strings in input\n"
 
     @pytest.mark.parametrize(
         "content, line",

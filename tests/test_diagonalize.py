@@ -13,10 +13,9 @@ from pauliframe import (
     simultaneous_diagonalize,
     verify_diagonalization,
 )
-from pauliframe.oracle import bits_matrix, dense_conjugation_check
-from pauliframe.pauli import conjugate_by_circuit
+from pauliframe.oracle import bits_matrix
 
-from conftest import random_commuting_set
+from conftest import conjugate_ops, dense_conjugation_check, random_commuting_set
 
 
 class TestSimultaneousDiagonalize:
@@ -30,15 +29,14 @@ class TestSimultaneousDiagonalize:
         result = simultaneous_diagonalize([parse_pauli("X")])
         assert result.A.tolist() == [[1]]
         assert result.s.tolist() == [0]
-        lam = conjugate_by_circuit(parse_pauli("X"), result.circuit)
+        (lam,) = conjugate_ops([parse_pauli("X")], result.circuit)
         assert not lam.x.any() and lam.z.tolist() == [1] and lam.sign == 1
 
     def test_worked_set_diagonalizes(self, example_ops_1):
         result = simultaneous_diagonalize(example_ops_1)
         ok, bad = verify_diagonalization(example_ops_1, result)
         assert ok and bad is None
-        for j, op in enumerate(example_ops_1):
-            lam = conjugate_by_circuit(op, result.circuit)
+        for j, lam in enumerate(conjugate_ops(example_ops_1, result.circuit)):
             assert not lam.x.any()
             assert np.array_equal(lam.z, result.A[j])
 

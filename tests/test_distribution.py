@@ -18,12 +18,7 @@ from pauliframe import (
 )
 from pauliframe import distribution
 from pauliframe.distribution import SupportTooLargeError
-from pauliframe.oracle import (
-    amplitudes_squared,
-    dense_diagonal,
-    dense_state_from_circuit,
-    unitary_from_circuit,
-)
+from pauliframe.oracle import dense_diagonal, unitary_from_circuit
 
 from conftest import (
     EXAMPLE_SET_3,
@@ -46,7 +41,7 @@ class TestKRow:
             [dense_diagonal(op, diag.circuit, wm) for op in example_ops_1]
         )
         n = example_ops_1[0].n
-        probs = amplitudes_squared(dense_state_from_circuit(diag.circuit))
+        probs = np.abs(wm[:, 0]) ** 2
         occupied = set()
         for x in range(2**n):
             u = np.array([(x >> (n - 1 - q)) & 1 for q in range(n)], dtype=np.uint8)
@@ -226,8 +221,7 @@ class TestMoments:
             diag = simultaneous_diagonalize(ops)
             mom = moments(build_distribution(ops))
             wm = unitary_from_circuit(diag.circuit)
-            state = dense_state_from_circuit(diag.circuit)
-            probs = amplitudes_squared(state)
+            probs = np.abs(wm[:, 0]) ** 2
             rows = np.stack(
                 [dense_diagonal(op, diag.circuit, wm) for op in ops]
             ).astype(np.float64)

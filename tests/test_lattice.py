@@ -22,11 +22,7 @@ from pauliframe import (
     parse_pauli,
     support_points,
 )
-from pauliframe.lattice import (
-    DegenerateLatticeError,
-    FloatRangeError,
-    QuadratureCapError,
-)
+from pauliframe.lattice import FloatRangeError, QuadratureCapError
 from pauliframe.oracle import mc_frame_potential
 
 from conftest import (
@@ -236,28 +232,24 @@ class TestLatticeVolume:
 class TestCltFramePotential:
     def test_worked_closed_form(self):
         for t in (1.0, 2.5, 7.0):
-            assert clt_frame_potential(64, 1, 5, t) == pytest.approx(
+            assert clt_frame_potential(64, 5, t) == pytest.approx(
                 2 * (math.pi * t) ** -2.5, rel=1e-12
             )
 
     def test_single_x(self):
-        assert clt_frame_potential(2, 1, 1, 3.0) == pytest.approx(
+        assert clt_frame_potential(2, 1, 3.0) == pytest.approx(
             (math.pi * 3.0) ** -0.5, rel=1e-12
         )
 
     def test_direct_substitution(self):
         for N in (1, 2, 4):
-            assert clt_frame_potential(2**N, 1, N, 1.0) == pytest.approx(
+            assert clt_frame_potential(2**N, N, 1.0) == pytest.approx(
                 math.pi ** (-N / 2), rel=1e-12
             )
 
-    def test_degenerate_rejected(self):
-        with pytest.raises(DegenerateLatticeError):
-            clt_frame_potential(2, 0, 1, 1.0)
-
     def test_coefficient_scaling(self):
-        c = clt_coefficient(64, 1, 5)
-        assert clt_frame_potential(64, 1, 5, 9.0) == pytest.approx(
+        c = clt_coefficient(64, 5)
+        assert clt_frame_potential(64, 5, 9.0) == pytest.approx(
             c * 9.0**-2.5, rel=1e-12
         )
 
@@ -265,27 +257,33 @@ class TestCltFramePotential:
         # Wherever (4 pi t)^N and V fit a float, the direct form is used as is.
         for volume, N, t in [(64, 5, 1.0), (2**40, 30, 3.0), (2**900, 280, 1.0), (2**1000, 1, 2.0)]:
             direct = volume / math.sqrt((4 * math.pi * t) ** N)
-            assert clt_frame_potential(volume, 1, N, t) == direct
-        assert clt_coefficient(2**900, 1, 280) == 2**900 / math.sqrt((4 * math.pi) ** 280)
+            assert clt_frame_potential(volume, N, t) == direct
+        assert clt_coefficient(2**900, 280) == 2**900 / math.sqrt((4 * math.pi) ** 280)
 
     def test_log_form_where_the_direct_form_overflows(self):
         # (4 pi)^300 and 2^1100 both overflow a float; the quotient does not.
         expected = math.exp(1100 * math.log(2) - 150 * math.log(4 * math.pi))
-        assert clt_coefficient(2**1100, 1, 300) == pytest.approx(expected, rel=1e-12)
-        assert clt_frame_potential(2**1100, 1, 300, 1.0) == pytest.approx(expected, rel=1e-12)
-        assert clt_frame_potential(2**1100, 1, 300, 4.0) == pytest.approx(
+        assert clt_coefficient(2**1100, 300) == pytest.approx(expected, rel=1e-12)
+        assert clt_frame_potential(2**1100, 300, 1.0) == pytest.approx(expected, rel=1e-12)
+        assert clt_frame_potential(2**1100, 300, 4.0) == pytest.approx(
             expected * 4.0**-150, rel=1e-12
         )
         # V itself overflows a float while (4 pi)^N does not.
-        assert clt_coefficient(2**1030, 1, 100) == pytest.approx(
+        assert clt_coefficient(2**1030, 100) == pytest.approx(
             math.exp(1030 * math.log(2) - 50 * math.log(4 * math.pi)), rel=1e-12
+        )
+
+    def test_log_form_where_the_scale_underflows(self):
+        # (4 pi t)^2 underflows to 0 at t = 1e-200; V / (4 pi t) is a float.
+        assert clt_frame_potential(2, 2, 1e-200) == pytest.approx(
+            2 / (4 * math.pi * 1e-200), rel=1e-12
         )
 
     def test_beyond_float_range_raises(self):
         with pytest.raises(FloatRangeError, match="CLT coefficient"):
-            clt_coefficient(2**2000, 1, 300)
+            clt_coefficient(2**2000, 300)
         with pytest.raises(FloatRangeError, match="CLT frame potential at t=1"):
-            clt_frame_potential(2**2000, 1, 300, 1)
+            clt_frame_potential(2**2000, 300, 1)
 
 
 class TestExactFramePotential:
@@ -378,12 +376,10 @@ class TestExactFramePotential:
 
     def test_convergence_to_clt(self, example_ops_1):
         dist = build_distribution(example_ops_1)
-        mom = moments(dist)
+        assert moments(dist).det_cov == 1
         vol = lattice_volume(support_points(dist))
         errs = []
         for t in (5, 10):
-            ratio = exact_frame_potential(dist, t) / clt_frame_potential(
-                vol, mom.det_cov, dist.N, t
-            )
+            ratio = exact_frame_potential(dist, t) / clt_frame_potential(vol, dist.N, t)
             errs.append(abs(ratio - 1))
         assert errs[1] < errs[0]

@@ -25,24 +25,22 @@ from pauliframe.oracle import (
     MAX_QUBITS,
     OracleGuardError,
     _BLOCK,
+    _apply_gate,
     _plan,
-    _reachable,
-    amplitudes_squared,
-    apply_pauli,
     bits_to_index,
-    dense_conjugation_check,
     dense_diagonal,
-    dense_state_from_circuit,
     fidelity,
     mc_frame_potential,
-    pauli_matrix,
     pauli_permutation,
     unitary_from_circuit,
 )
-from pauliframe.pauli import conjugate_by_circuit
 
 from conftest import (
+    apply_pauli,
+    conjugate_ops,
+    dense_conjugation_check,
     mc_frame_potential_dense,
+    pauli_matrix,
     random_clifford_circuit,
     random_commuting_set,
     sets_with_dependent_rows,
@@ -62,20 +60,19 @@ def ranked_commuting_set(n: int, rho: int, extra: int, rng) -> list[PauliString]
     for row in z:
         if not row.any():
             row[rng.integers(n)] = 1
-    gates = [CliffordGate.h(q) for q in range(rho)]
+    gates = [CliffordGate("H", (q,)) for q in range(rho)]
     for _ in range(3 * n):
         a, b = (int(q) for q in rng.integers(n, size=2))
         if a == b:
-            gates.append(CliffordGate.s(a))
+            gates.append(CliffordGate("S", (a,)))
         else:
-            gates.append((CliffordGate.cnot, CliffordGate.cz)[rng.integers(2)](a, b))
+            gates.append(CliffordGate(("CNOT", "CZ")[rng.integers(2)], (a, b)))
     w = CliffordCircuit(n, tuple(gates))
     signs = rng.choice([-1, 1], size=len(z))
     zeros = np.zeros(n, dtype=np.uint8)
-    return [
-        conjugate_by_circuit(PauliString(n, zeros, row, int(sign)), w)
-        for row, sign in zip(z, signs)
-    ]
+    return conjugate_ops(
+        [PauliString(n, zeros, row, int(sign)) for row, sign in zip(z, signs)], w
+    )
 
 
 def mc_terms(engine, *args):
@@ -101,48 +98,59 @@ def commuting_sets(draw, max_n: int = 7):
     return ranked_commuting_set(n, rho, extra, rng)
 
 
+def dense_state(w: CliffordCircuit) -> np.ndarray:
+    """W|0...0>, the first column of the unitary of W."""
+    return unitary_from_circuit(w)[:, 0]
+
+
 class TestDenseState:
     def test_empty_circuit(self):
-        state = dense_state_from_circuit(CliffordCircuit(2))
+        state = dense_state(CliffordCircuit(2))
         assert state[0] == 1 and not state[1:].any()
 
     def test_hadamard(self):
-        state = dense_state_from_circuit(CliffordCircuit(1, (CliffordGate.h(0),)))
+        state = dense_state(CliffordCircuit(1, (CliffordGate("H", (0,)),)))
         assert np.allclose(state, [1 / math.sqrt(2)] * 2)
 
     def test_bell_state(self):
-        w = CliffordCircuit(2, (CliffordGate.h(0), CliffordGate.cnot(0, 1)))
-        state = dense_state_from_circuit(w)
+        w = CliffordCircuit(2, (CliffordGate("H", (0,)), CliffordGate("CNOT", (0, 1))))
+        state = dense_state(w)
         assert np.allclose(state, [1 / math.sqrt(2), 0, 0, 1 / math.sqrt(2)])
 
     def test_guard(self):
         with pytest.raises(OracleGuardError):
-            dense_state_from_circuit(CliffordCircuit(MAX_QUBITS + 1))
+            unitary_from_circuit(CliffordCircuit(MAX_QUBITS + 1))
 
     def test_normalized_random(self):
         rng = np.random.default_rng(42)
         for _ in range(10):
             n = int(rng.integers(1, 6))
-            state = dense_state_from_circuit(random_clifford_circuit(n, 30, rng))
+            state = dense_state(random_clifford_circuit(n, 30, rng))
             assert abs(np.vdot(state, state).real - 1) < 1e-10
 
     def test_unitary_matches_state(self):
+        # The unitary's first column is the state that the same gates,
+        # applied to the vector |0...0> alone, produce.
         rng = np.random.default_rng(43)
         w = random_clifford_circuit(3, 20, rng)
         wm = unitary_from_circuit(w)
-        assert np.allclose(wm[:, 0], dense_state_from_circuit(w))
+        vec = np.zeros(8, dtype=np.complex128)
+        vec[0] = 1.0
+        for g in w.gates:
+            _apply_gate(vec, g, w.n)
+        assert np.allclose(wm[:, 0], vec)
         assert np.allclose(wm @ wm.conj().T, np.eye(8), atol=1e-10)
 
 
 class TestAmplitudes:
     def test_uniform(self):
         n = 3
-        w = CliffordCircuit(n, tuple(CliffordGate.h(q) for q in range(n)))
-        probs = amplitudes_squared(dense_state_from_circuit(w))
+        w = CliffordCircuit(n, tuple(CliffordGate("H", (q,)) for q in range(n)))
+        probs = np.abs(dense_state(w)) ** 2
         assert np.allclose(probs, 2.0**-n)
 
     def test_basis_state(self):
-        probs = amplitudes_squared(dense_state_from_circuit(CliffordCircuit(2)))
+        probs = np.abs(dense_state(CliffordCircuit(2))) ** 2
         assert probs.tolist() == [1, 0, 0, 0]
 
 
@@ -184,7 +192,7 @@ class TestPauliMatrices:
 class TestConjugationCheck:
     def test_h_conjugates_x_to_z(self):
         m = dense_conjugation_check(
-            parse_pauli("X"), CliffordCircuit(1, (CliffordGate.h(0),))
+            parse_pauli("X"), CliffordCircuit(1, (CliffordGate("H", (0,)),))
         )
         assert np.allclose(m, np.diag([1, -1]))
 
@@ -368,7 +376,7 @@ class TestReachableRows:
 
     def test_z_only_set_reaches_only_zero(self):
         ops = [parse_pauli(s) for s in ("ZII", "-IZI", "ZZZ", "-IIZ")]
-        assert _reachable([pauli_permutation(op) for op in ops]).tolist() == [0]
+        assert _plan([pauli_permutation(op) for op in ops])[0].tolist() == [0]
         for samples in (1, 2, 5, (1 << 14) + 1):
             args = (ops, 3, samples, samples)
             got = mc_terms(mc_frame_potential, *args)
@@ -388,7 +396,7 @@ class TestReachableRows:
     @given(commuting_sets(max_n=8))
     def test_rows_are_the_row_space_of_the_x_block(self, ops):
         n = ops[0].n
-        rows = _reachable([pauli_permutation(op) for op in ops])
+        rows = np.sort(_plan([pauli_permutation(op) for op in ops])[0])
         basis = gf2.row_space_basis(np.stack([op.x for op in ops]))
         span = bits_to_index(gf2.coset(basis, np.zeros(n, dtype=np.uint8)))
         assert rows.tolist() == np.sort(span).tolist()

@@ -17,11 +17,7 @@ from pauliframe import (
     parse_pauli,
 )
 from pauliframe import gf2
-from pauliframe.oracle import pauli_matrix
 from pauliframe.pauli import (
-    commutes,
-    conjugate,
-    conjugate_by_circuit,
     conjugate_rows,
     format_pauli,
     multiply_rows,
@@ -29,7 +25,14 @@ from pauliframe.pauli import (
     row_pauli,
 )
 
-from conftest import EXAMPLE_SET_1, inverse_circuit, random_clifford_circuit
+from conftest import (
+    EXAMPLE_SET_1,
+    commutes,
+    conjugate_ops,
+    inverse_circuit,
+    pauli_matrix,
+    random_clifford_circuit,
+)
 
 pauli_texts = st.builds(
     lambda sign, body: sign + body,
@@ -145,29 +148,36 @@ class TestCheckCommutingSet:
         assert check_commuting_set(ops) == (1200, 1800)
 
 
+def conjugate(p: PauliString, g: CliffordGate) -> PauliString:
+    """g p g† by the row engine, on a circuit of one gate."""
+    (out,) = conjugate_ops([p], CliffordCircuit(p.n, (g,)))
+    return out
+
+
 class TestConjugate:
     def test_h_maps_x_to_z(self):
-        assert conjugate(parse_pauli("X"), CliffordGate.h(0)) == parse_pauli("Z")
+        assert conjugate(parse_pauli("X"), CliffordGate("H", (0,))) == parse_pauli("Z")
 
     def test_identity_fixed(self):
         p = parse_pauli("III")
-        for g in [CliffordGate.h(1), CliffordGate.s(0), CliffordGate.cnot(0, 2)]:
+        for g in [CliffordGate("H", (1,)), CliffordGate("S", (0,)), CliffordGate("CNOT", (0, 2))]:
             assert conjugate(p, g) == p
 
     def test_x_gate_flips_z(self):
-        assert conjugate(parse_pauli("Z"), CliffordGate.x(0)) == parse_pauli("-Z")
+        assert conjugate(parse_pauli("Z"), CliffordGate("X", (0,))) == parse_pauli("-Z")
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            conjugate(parse_pauli("X"), CliffordGate.h(1))
+        x, z, r = pauli_rows([parse_pauli("X")])
+        with pytest.raises(ValueError, match="out of range"):
+            conjugate_rows(x, z, r, CliffordGate("H", (1,)))
 
     def test_empty_circuit(self):
         p = parse_pauli("-XYZ")
-        assert conjugate_by_circuit(p, CliffordCircuit(3)) == p
+        assert conjugate_ops([p], CliffordCircuit(3)) == [p]
 
     def test_single_h_circuit(self):
-        w = CliffordCircuit(1, (CliffordGate.h(0),))
-        assert conjugate_by_circuit(parse_pauli("X"), w) == parse_pauli("Z")
+        w = CliffordCircuit(1, (CliffordGate("H", (0,)),))
+        assert conjugate_ops([parse_pauli("X")], w) == [parse_pauli("Z")]
 
     def test_matches_dense_conjugation(self):
         rng = np.random.default_rng(11)
@@ -177,7 +187,7 @@ class TestConjugate:
             n = int(rng.integers(1, 4))
             p = _random_pauli(n, rng)
             w = random_clifford_circuit(n, 10, rng)
-            got = conjugate_by_circuit(p, w)
+            (got,) = conjugate_ops([p], w)
             wm = unitary_from_circuit(w)
             dense = wm @ pauli_matrix(p) @ wm.conj().T
             assert np.allclose(pauli_matrix(got), dense, atol=1e-10)
@@ -188,21 +198,19 @@ class TestConjugate:
             n = int(rng.integers(1, 5))
             p = _random_pauli(n, rng)
             w = random_clifford_circuit(n, 15, rng)
-            back = conjugate_by_circuit(
-                conjugate_by_circuit(p, w), inverse_circuit(w)
-            )
-            assert back == p
+            back = conjugate_ops(conjugate_ops([p], w), inverse_circuit(w))
+            assert back == [p]
 
     def test_hermiticity_exhaustive(self):
         # Every signed 2-qubit string under every gate stays sign +-1;
         # PauliString construction rejects anything else.
         n = 2
         gates = [
-            CliffordGate.h(0), CliffordGate.h(1),
-            CliffordGate.s(0), CliffordGate.s(1),
-            CliffordGate.x(0), CliffordGate.z(1),
-            CliffordGate.cnot(0, 1), CliffordGate.cnot(1, 0),
-            CliffordGate.cz(0, 1),
+            CliffordGate("H", (0,)), CliffordGate("H", (1,)),
+            CliffordGate("S", (0,)), CliffordGate("S", (1,)),
+            CliffordGate("X", (0,)), CliffordGate("Z", (1,)),
+            CliffordGate("CNOT", (0, 1)), CliffordGate("CNOT", (1, 0)),
+            CliffordGate("CZ", (0, 1)),
         ]
         for bits in itertools.product([0, 1], repeat=2 * n):
             for sign in (1, -1):

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 
 from pauliframe import gf2, multiply, parse_pauli, simultaneous_diagonalize
-from pauliframe.oracle import dense_state_from_circuit
+from pauliframe.oracle import unitary_from_circuit
 from pauliframe.pauli import conjugate_rows, pauli_rows, row_pauli
 from pauliframe.tableau import reduce_x_block
 
@@ -99,7 +99,7 @@ class TestSupportOfW:
             assert diag.support == tuple(hadamard_qubits(diag.circuit))
             expected = np.zeros(2**n)
             expected[support_labels(diag.support, n)] = 2.0 ** (-len(diag.support) / 2)
-            assert np.abs(dense_state_from_circuit(diag.circuit) - expected).max() <= 1e-12
+            assert np.abs(unitary_from_circuit(diag.circuit)[:, 0] - expected).max() <= 1e-12
 
     def test_r_matches_rank_and_R_full_column_rank(self):
         rng = np.random.default_rng(31)
