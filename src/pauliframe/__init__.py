@@ -25,6 +25,7 @@ from .pauli import (
     CliffordGate,
     NonCommutingSetError,
     PauliParseError,
+    PauliRows,
     PauliString,
     check_commuting_set,
     multiply,
@@ -39,6 +40,7 @@ __all__ = [
     "MomentReport",
     "NonCommutingSetError",
     "PauliParseError",
+    "PauliRows",
     "PauliString",
     "QuadratureCapError",
     "SupportTooLargeError",

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import io
 import math
 import sys
 from fractions import Fraction
@@ -39,8 +38,8 @@ from .distribution import (
 from .pauli import (
     NonCommutingSetError,
     PauliParseError,
+    PauliRows,
     check_commuting_set,
-    parse_pauli,
 )
 
 EXIT_PARSE = 2
@@ -50,16 +49,8 @@ EXIT_GUARD = 4
 SCHEMA_VERSION = 1
 
 
-class InputFileError(ValueError):
-    """A parse failure at an input line, or of the whole input (line None)."""
-
-    def __init__(self, line: int | None, message: str):
-        self.line = line
-        super().__init__(message if line is None else f"line {line}: {message}")
-
-
-def load_pauli_file(path: str):
-    """Parse the input file into a list of PauliStrings."""
+def load_pauli_file(path: str) -> PauliRows:
+    """Parse the input file into the rows of its Pauli strings."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -69,27 +60,16 @@ def load_pauli_file(path: str):
         head = exc.object[: exc.start]
         lineno = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
         bad = exc.object[exc.start]
-        raise InputFileError(lineno, f"byte {bad:#04x} is not valid UTF-8") from None
-    ops = []
-    n = None
-    for lineno, raw in enumerate(io.StringIO(content, newline=None), start=1):
-        text = raw.split("#", 1)[0].strip()
-        if not text:
-            continue
-        try:
-            op = parse_pauli(text, n_expected=n)
-        except PauliParseError as exc:
-            raise InputFileError(lineno, str(exc)) from exc
-        if op.is_identity():
-            raise InputFileError(
-                lineno, f"identity string {text!r} acts as a global phase only"
-            )
-        if n is None:
-            n = op.n
-        ops.append(op)
-    if not ops:
-        raise InputFileError(None, "no Pauli strings in input")
-    return ops
+        raise PauliParseError(f"line {lineno}: byte {bad:#04x} is not valid UTF-8") from None
+    lines = content.replace("\r\n", "\n").replace("\r", "\n").split("\n")  # universal newlines
+    lines = [line.split("#", 1)[0].strip() for line in lines]
+    kept = [k for k, text in enumerate(lines) if text]
+    if not kept:
+        raise PauliParseError("no Pauli strings in input")
+    try:
+        return PauliRows.from_strings([lines[k] for k in kept], identity=False)
+    except PauliParseError as exc:
+        raise PauliParseError(f"line {kept[exc.index] + 1}: {exc}") from exc
 
 
 def _rational(value) -> dict:
@@ -176,7 +156,7 @@ def run_verify(ops) -> list[str]:
     failures = []
     diag = simultaneous_diagonalize(ops)
     dist, sup = diag.law, diag.support
-    n = ops[0].n
+    n = ops.n
     wm = oracle.unitary_from_circuit(diag.circuit)
     ok, bad = verify_diagonalization(ops, diag)
     if not ok:
@@ -358,7 +338,7 @@ def main(argv=None) -> int:
 
     try:
         ops = load_pauli_file(args.input)
-    except InputFileError as exc:
+    except PauliParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except OSError as exc:
@@ -366,7 +346,7 @@ def main(argv=None) -> int:
         return EXIT_PARSE
 
     try:
-        head = {"schema": SCHEMA_VERSION, "n": ops[0].n, "N": len(ops)}
+        head = {"schema": SCHEMA_VERSION, "n": ops.n, "N": len(ops)}
         if args.command == "check":
             bad = check_commuting_set(ops)
             doc = {**head, "commuting": bad is None, "violating_pair": list(bad) if bad else None}
@@ -374,7 +354,7 @@ def main(argv=None) -> int:
             return 0 if bad is None else EXIT_NONCOMMUTING
 
         if args.command == "verify":
-            oracle.check_guard(ops[0].n)
+            oracle.check_guard(ops.n)
             failures = run_verify(ops)
             _emit({**head, "passed": not failures, "failures": failures}, as_json)
             return 0 if not failures else 1

@@ -40,11 +40,10 @@ from .pauli import (  # noqa: F401  (multiply stays bound: bench/test_bench.py d
     CliffordCircuit,
     CliffordGate,
     NonCommutingSetError,
-    PauliString,
+    PauliRows,
     check_commuting_set,
     conjugate_rows,
     multiply,
-    pauli_rows,
 )
 from .tableau import reduce_x_block
 
@@ -66,7 +65,7 @@ class DiagonalizedSet:
     law: KDistribution
 
 
-def simultaneous_diagonalize(ops: list[PauliString]) -> DiagonalizedSet:
+def simultaneous_diagonalize(ops: PauliRows) -> DiagonalizedSet:
     """Build W, A, s and the law of K for a pairwise-commuting set
     without identities.
 
@@ -81,24 +80,20 @@ def simultaneous_diagonalize(ops: list[PauliString]) -> DiagonalizedSet:
     controlled on q and its CZs and S(q) act on q, all while qubit q is
     |0>, so each fixes the state; H(q) then puts qubit q in |+>.
     """
-    if not ops:
-        raise ValueError("empty operator list")
     bad = check_commuting_set(ops)
     if bad is not None:
         raise NonCommutingSetError(bad)
-    for j, op in enumerate(ops):
-        if op.is_identity():
-            raise ValueError(f"operator {j} is the identity string")
-    n = ops[0].n
+    identities = np.flatnonzero(~(ops.x.any(axis=1) | ops.z.any(axis=1)))
+    if identities.size:
+        raise ValueError(f"operator {identities[0]} is the identity string")
     N = len(ops)
 
-    x, z, r = pauli_rows(ops)
-    gx, gz, gr = x.copy(), z.copy(), r.copy()
+    gx, gz, gr = ops.copies()
     pivots = reduce_x_block(gx, gz, gr)
-    law = law_from_elimination(x, gr, pivots)
-    x = np.concatenate([x, gx[pivots]])
-    z = np.concatenate([z, gz[pivots]])
-    r = np.concatenate([r, gr[pivots]])
+    law = law_from_elimination(ops.x, gr, pivots)
+    x = np.concatenate([ops.x, gx[pivots]])
+    z = np.concatenate([ops.z, gz[pivots]])
+    r = np.concatenate([ops.r, gr[pivots]])
     gates: list[CliffordGate] = []
     pivot_qubits: list[int] = []
 
@@ -121,7 +116,7 @@ def simultaneous_diagonalize(ops: list[PauliString]) -> DiagonalizedSet:
 
     assert not x.any(), "elimination left an X component"
     return DiagonalizedSet(
-        circuit=CliffordCircuit(n, tuple(gates)),
+        circuit=CliffordCircuit(ops.n, tuple(gates)),
         A=z[:N].copy(),
         s=r[:N].copy(),
         support=tuple(pivot_qubits),
@@ -130,7 +125,7 @@ def simultaneous_diagonalize(ops: list[PauliString]) -> DiagonalizedSet:
 
 
 def verify_diagonalization(
-    ops: list[PauliString], result: DiagonalizedSet
+    ops: PauliRows, result: DiagonalizedSet
 ) -> tuple[bool, int | None]:
     """Re-derive each conjugated operator and compare with (A, s).
 
@@ -138,9 +133,9 @@ def verify_diagonalization(
     (True, None) on success, else (False, j) for the first operator that
     fails.
     """
-    x, z, r = pauli_rows(ops)
-    if x.shape[1] != result.circuit.n:
-        raise ValueError(f"size mismatch: {x.shape[1]} vs {result.circuit.n}")
+    if ops.n != result.circuit.n:
+        raise ValueError(f"size mismatch: {ops.n} vs {result.circuit.n}")
+    x, z, r = ops.copies()
     for g in result.circuit.gates:
         conjugate_rows(x, z, r, g)
     ok = (

@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import gf2
-from .pauli import NonCommutingSetError, PauliString, check_commuting_set, pauli_rows
+from .pauli import NonCommutingSetError, PauliRows, check_commuting_set
 from .tableau import reduce_x_block
 
 ENUMERATION_CAP = 20
@@ -79,7 +79,7 @@ def law_from_elimination(x: np.ndarray, r: np.ndarray, pivots: np.ndarray) -> KD
     return KDistribution(b0=b0, basis=gf2.row_space_basis(x.T))
 
 
-def build_distribution(ops: list[PauliString]) -> KDistribution:
+def build_distribution(ops: PauliRows) -> KDistribution:
     """The law of K for a pairwise-commuting set, without synthesizing W.
 
     ``simultaneous_diagonalize(ops).law`` is the same law.
@@ -87,9 +87,9 @@ def build_distribution(ops: list[PauliString]) -> KDistribution:
     bad = check_commuting_set(ops)
     if bad is not None:
         raise NonCommutingSetError(bad)
-    x, z, r = pauli_rows(ops)
-    pivots = reduce_x_block(x.copy(), z, r)
-    return law_from_elimination(x, r, pivots)
+    x, z, r = ops.copies()
+    pivots = reduce_x_block(x, z, r)
+    return law_from_elimination(ops.x, r, pivots)
 
 
 def support_points(d: KDistribution) -> np.ndarray:

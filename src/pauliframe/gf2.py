@@ -47,12 +47,6 @@ def rref(m) -> tuple[np.ndarray, list[int]]:
     return r, pivot_cols
 
 
-def rank(m) -> int:
-    """GF(2) rank of a binary matrix."""
-    _, pivots = rref(m)
-    return len(pivots)
-
-
 def row_space_basis(m) -> np.ndarray:
     """Canonical basis of the row space: the nonzero rows of the RREF.
 

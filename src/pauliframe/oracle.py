@@ -22,9 +22,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .pauli import CliffordCircuit, PauliString
+from .pauli import CliffordCircuit, PauliRows, PauliString
 
 MAX_QUBITS = 10
+MC_WORK_CAP = 2**32  # Monte-Carlo samples x N x 2**rho, about 10 s of work
 _BLOCK = 1 << 14  # amplitudes per state array in one Monte-Carlo block
 
 _GATE_MATRICES = {
@@ -199,19 +200,7 @@ def _evolve(steps, thetas: np.ndarray, work: np.ndarray) -> np.ndarray:
     return state
 
 
-def fidelity(ops: list[PauliString], theta, theta_prime) -> float:
-    """|<0| U(theta)† U(theta') |0>|^2 by direct statevector evolution."""
-    check_guard(ops[0].n)
-    theta, theta_prime = np.ravel(theta), np.ravel(theta_prime)
-    if len(theta) != len(ops) or len(theta_prime) != len(ops):
-        raise ValueError("parameter vector length must equal the gate count")
-    thetas = np.stack([theta, theta_prime], axis=1).astype(np.float64)
-    rows, steps = _plan([pauli_permutation(op) for op in ops])
-    psi = _evolve(steps, thetas, np.empty((2, len(rows), 2), dtype=np.complex128))
-    return float(np.abs(np.vdot(psi[:, 0], psi[:, 1])) ** 2)
-
-
-def mc_frame_potential(ops: list[PauliString], t, samples: int, seed: int):
+def mc_frame_potential(ops: PauliRows, t, samples: int, seed: int):
     """Monte-Carlo estimate of the frame potential and its standard error;
     a sequence of t values shares one evolution and gives a list of pairs.
 
@@ -223,16 +212,22 @@ def mc_frame_potential(ops: list[PauliString], t, samples: int, seed: int):
     math.fsum.  The floats are those of evolving all 2**n rows: an update
     is round(c a) + round(+-s a'), each complex product in it has one
     nonzero term, so it is exact, FMA or not, and only the sign of a zero,
-    which never reaches |amplitude|**2, can differ.
+    which never reaches |amplitude|**2, can differ.  Work of samples x N x
+    2**rho past MC_WORK_CAP raises OracleGuardError before the first draw.
     """
     if samples <= 0:
         raise ValueError("sample count must be positive")
-    n = ops[0].n
+    n = ops.n
     check_guard(n)
     t_values = (t,) if np.ndim(t) == 0 else tuple(t)
     rng = np.random.Generator(np.random.Philox(key=seed))
     rows, steps = _plan([pauli_permutation(op) for op in ops])
     size, num = len(rows), len(ops)
+    if samples * num * size > MC_WORK_CAP:
+        raise OracleGuardError(
+            f"Monte-Carlo work samples x N x 2**rho = {samples * num * size} exceeds "
+            f"the cap {MC_WORK_CAP}; lower --mc-samples"
+        )
     cols = max(1, _BLOCK // size)
     sums = [[0.0, 0.0] for _ in t_values]
     batch = min(1 << 14, (1 << 22) >> n)

@@ -14,15 +14,21 @@ import numpy as np
 
 from . import gf2
 
-_CHAR_TO_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
-_BITS_TO_CHAR = {v: k for k, v in _CHAR_TO_BITS.items()}
+_LETTERS = "IZXY"  # letter of the bits (x, z) is _LETTERS[2 * x + z]
+_BITS = np.zeros((2, 256), dtype=np.uint8)  # x and z bit of each letter's byte
+_BITS[0, list(b"XY")] = _BITS[1, list(b"YZ")] = 1
 
 _ONE_QUBIT = ("H", "S", "X", "Z")
 _TWO_QUBIT = ("CNOT", "CZ")
 
 
 class PauliParseError(ValueError):
-    """Raised when a Pauli string literal cannot be parsed."""
+    """Raised when Pauli string text cannot be parsed; ``index`` is the
+    position of the failing string among those parsed together."""
+
+    def __init__(self, message: str, index: int = 0):
+        self.index = index
+        super().__init__(message)
 
 
 class NonCommutingSetError(ValueError):
@@ -77,44 +83,98 @@ class PauliString:
         return f"PauliString({format_pauli(self)!r})"
 
 
-def parse_pauli(text: str, n_expected: int | None = None) -> PauliString:
-    """Parse ``sign? [IXYZ]+`` into a PauliString.
+@dataclass(frozen=True, eq=False)
+class PauliRows:
+    """The set type: N >= 1 signed Pauli strings on n >= 1 qubits as read-only
+    tableau rows, row k being (-1)^r[k] X^x[k] Z^z[k] as for ``conjugate_rows``.
+    Indexing and iteration give PauliStrings."""
 
-    Accepts an optional leading '+', '-' or unicode minus.  If
-    ``n_expected`` is given, the letter count must match.
-    """
-    s = text.strip()
-    sign = 1
-    if s[:1] in ("+", "-", "−"):
-        sign = 1 if s[0] == "+" else -1
-        s = s[1:]
-    if not s:
-        raise PauliParseError(f"empty Pauli string in {text!r}")
-    if n_expected is not None and len(s) != n_expected:
-        raise PauliParseError(
-            f"expected {n_expected} qubits, got {len(s)} in {text!r}"
+    x: np.ndarray
+    z: np.ndarray
+    r: np.ndarray
+
+    def __post_init__(self):
+        x, z, r = (gf2.as_bits(a) for a in (self.x, self.z, self.r))
+        if not r.size:
+            raise ValueError("empty operator list")
+        if x.ndim != 2 or not x.shape[1] or z.shape != x.shape or r.shape != x.shape[:1]:
+            raise ValueError(f"bad row shapes {x.shape}, {z.shape}, {r.shape}")
+        for name, a in zip("xzr", (x, z, r)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+
+    @property
+    def n(self) -> int:
+        return self.x.shape[1]
+
+    def __len__(self) -> int:
+        return len(self.r)
+
+    def __getitem__(self, k: int) -> PauliString:
+        return PauliString(self.n, self.x[k], self.z[k], -1 if self.r[k] else 1)
+
+    def copies(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Writable copies of (x, z, r), for the in-place row engines."""
+        return self.x.copy(), self.z.copy(), self.r.copy()
+
+    @classmethod
+    def stack(cls, ops: list[PauliString]) -> PauliRows:
+        """The rows of a list of strings on one qubit count."""
+        if len({p.n for p in ops}) > 1:
+            raise ValueError("mixed qubit counts in operator list")
+        return cls(
+            np.array([p.x for p in ops], dtype=np.uint8),
+            np.array([p.z for p in ops], dtype=np.uint8),
+            np.array([p.sign < 0 for p in ops], dtype=np.uint8),
         )
-    x = np.zeros(len(s), dtype=np.uint8)
-    z = np.zeros(len(s), dtype=np.uint8)
-    for i, c in enumerate(s):
-        try:
-            x[i], z[i] = _CHAR_TO_BITS[c]
-        except KeyError:
-            raise PauliParseError(
-                f"invalid character {c!r} at position {i} in {text!r}"
-            ) from None
-    return PauliString(len(s), x, z, sign)
+
+    @classmethod
+    def from_strings(cls, texts, identity: bool = True) -> PauliRows:
+        """Parse ``sign? [IXYZ]+`` strings of one length.
+
+        String operations check each string in turn, and the first failure
+        raises PauliParseError with its index; an all-I string fails
+        unless ``identity``.  One byte lookup then gives all x and z bits.
+        """
+        bodies, signs, n = [], [], None
+        for k, text in enumerate(texts):
+            s = text.strip()
+            signs.append(s[:1] in ("-", "−"))
+            if s[:1] in ("+", "-", "−"):
+                s = s[1:]
+            if not s:
+                raise PauliParseError(f"empty Pauli string in {text!r}", k)
+            if n is not None and len(s) != n:
+                raise PauliParseError(f"expected {n} qubits, got {len(s)} in {text!r}", k)
+            bad = len(s) - len(s.lstrip("IXYZ"))
+            if bad < len(s):
+                raise PauliParseError(
+                    f"invalid character {s[bad]!r} at position {bad} in {text!r}", k
+                )
+            if not identity and not s.strip("I"):
+                raise PauliParseError(f"identity string {text!r} acts as a global phase only", k)
+            n = len(s)
+            bodies.append(s)
+        codes = np.frombuffer("".join(bodies).encode("ascii"), dtype=np.uint8)
+        codes = codes.reshape(len(bodies), n or 0)
+        return cls(_BITS[0].take(codes), _BITS[1].take(codes), np.array(signs, dtype=np.uint8))
+
+
+def parse_pauli(text: str) -> PauliString:
+    """Parse ``sign? [IXYZ]+`` into a PauliString (see ``PauliRows.from_strings``).
+
+    Accepts an optional leading '+', '-' or unicode minus.
+    """
+    return PauliRows.from_strings([text])[0]
 
 
 def format_pauli(p: PauliString) -> str:
     """Inverse of parse_pauli (always emits a '-' prefix for negative sign)."""
-    body = "".join(
-        _BITS_TO_CHAR[(int(a), int(b))] for a, b in zip(p.x, p.z)
-    )
+    body = "".join(_LETTERS[k] for k in (2 * p.x + p.z).tolist())
     return ("-" if p.sign < 0 else "") + body
 
 
-def check_commuting_set(ops: list[PauliString]) -> tuple[int, int] | None:
+def check_commuting_set(ops: PauliRows) -> tuple[int, int] | None:
     """Return None if all pairs commute, else the first violating (i, j).
 
     All symplectic products are the GF(2) product S = [X Z] [Z X]^T; it
@@ -124,15 +184,8 @@ def check_commuting_set(ops: list[PauliString]) -> tuple[int, int] | None:
     BLAS speed.  S is symmetric with a zero diagonal, so its first
     nonzero entry in row-major order is the first violating pair i < j.
     """
-    if not ops:
-        raise ValueError("empty operator list")
-    n = ops[0].n
-    for op in ops:
-        if op.n != n:
-            raise ValueError("mixed qubit counts in operator list")
-    x, z, _ = pauli_rows(ops)
-    xz = np.hstack([x, z]).astype(np.float64)
-    zx = np.hstack([z, x]).T.astype(np.float64)
+    xz = np.hstack([ops.x, ops.z]).astype(np.float64)
+    zx = np.hstack([ops.z, ops.x]).T.astype(np.float64)
     rows = max(1, (1 << 20) // len(ops))
     for start in range(0, len(ops), rows):
         block = (xz[start : start + rows] @ zx).astype(np.int64) & 1
@@ -148,11 +201,9 @@ def multiply(p: PauliString, q: PauliString) -> PauliString:
     The result of multiplying commuting Hermitian strings is Hermitian
     with sign +-1; a residual phase of +-i raises.
     """
-    if p.n != q.n:
-        raise ValueError(f"size mismatch: {p.n} vs {q.n}")
-    x, z, r = pauli_rows([p, q])
+    x, z, r = PauliRows.stack([p, q]).copies()
     multiply_rows(x, z, r, [0], 1)
-    return row_pauli(x, z, r, 0)
+    return PauliRows(x, z, r)[0]
 
 
 @dataclass(frozen=True)
@@ -189,20 +240,6 @@ class CliffordCircuit:
         for g in self.gates:
             if any(q >= self.n for q in g.qubits):
                 raise ValueError(f"gate {g} out of range for n={self.n}")
-
-
-def pauli_rows(ops: list[PauliString]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stack strings as (x, z, sign-bit) row arrays for conjugate_rows."""
-    n = ops[0].n
-    x = np.array([p.x for p in ops], dtype=np.uint8).reshape(len(ops), n)
-    z = np.array([p.z for p in ops], dtype=np.uint8).reshape(len(ops), n)
-    r = np.array([p.sign < 0 for p in ops], dtype=np.uint8)
-    return x, z, r
-
-
-def row_pauli(x: np.ndarray, z: np.ndarray, r: np.ndarray, k: int) -> PauliString:
-    """Row k of (x, z, sign-bit) row arrays as a PauliString."""
-    return PauliString(x.shape[1], x[k], z[k], -1 if r[k] else 1)
 
 
 def multiply_rows(

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import io
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from pauliframe import CliffordCircuit, CliffordGate, PauliString, parse_pauli
+from pauliframe import CliffordCircuit, CliffordGate, PauliParseError, PauliRows, PauliString
 
 EXAMPLE_SET_1 = ["-XXYYY", "IYIIX", "-IZXXZ", "XYIZI", "-XZXYY"]
 EXAMPLE_SET_2 = ["YZZIX", "YYXII", "-ZIYIX", "ZXXXY", "ZIYZI"]
@@ -17,12 +18,80 @@ EXAMPLE_SET_3 = ["-YYI", "ZZI", "-ZZI", "XXI", "XXI", "IIX", "YYX"]
 
 @pytest.fixture
 def example_ops_1():
-    return [parse_pauli(s) for s in EXAMPLE_SET_1]
+    return PauliRows.from_strings(EXAMPLE_SET_1)
 
 
 @pytest.fixture
 def example_ops_2():
-    return [parse_pauli(s) for s in EXAMPLE_SET_2]
+    return PauliRows.from_strings(EXAMPLE_SET_2)
+
+
+def rank(m) -> int:
+    """GF(2) rank of a binary matrix."""
+    from pauliframe.gf2 import rref
+
+    return len(rref(m)[1])
+
+
+_CHAR_TO_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
+
+
+def parse_pauli_reference(text: str, n_expected: int | None = None) -> PauliString:
+    """Parse ``sign? [IXYZ]+`` one character at a time: the reference for
+    ``PauliRows.from_strings``, with the same messages."""
+    s = text.strip()
+    sign = 1
+    if s[:1] in ("+", "-", "−"):
+        sign = 1 if s[0] == "+" else -1
+        s = s[1:]
+    if not s:
+        raise PauliParseError(f"empty Pauli string in {text!r}")
+    if n_expected is not None and len(s) != n_expected:
+        raise PauliParseError(f"expected {n_expected} qubits, got {len(s)} in {text!r}")
+    x = np.zeros(len(s), dtype=np.uint8)
+    z = np.zeros(len(s), dtype=np.uint8)
+    for i, c in enumerate(s):
+        try:
+            x[i], z[i] = _CHAR_TO_BITS[c]
+        except KeyError:
+            raise PauliParseError(
+                f"invalid character {c!r} at position {i} in {text!r}"
+            ) from None
+    return PauliString(len(s), x, z, sign)
+
+
+def load_pauli_file_reference(path: str) -> PauliRows:
+    """Parse an input file line by line into PauliStrings, then stack them:
+    the reference for ``cli.load_pauli_file``, with the same errors."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        content = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        head = exc.object[: exc.start]
+        lineno = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        bad = exc.object[exc.start]
+        raise PauliParseError(f"line {lineno}: byte {bad:#04x} is not valid UTF-8") from None
+    ops = []
+    n = None
+    for lineno, raw in enumerate(io.StringIO(content, newline=None), start=1):
+        text = raw.split("#", 1)[0].strip()
+        if not text:
+            continue
+        try:
+            op = parse_pauli_reference(text, n_expected=n)
+        except PauliParseError as exc:
+            raise PauliParseError(f"line {lineno}: {exc}") from exc
+        if op.is_identity():
+            raise PauliParseError(
+                f"line {lineno}: identity string {text!r} acts as a global phase only"
+            )
+        if n is None:
+            n = op.n
+        ops.append(op)
+    if not ops:
+        raise PauliParseError("no Pauli strings in input")
+    return PauliRows.stack(ops)
 
 
 def random_clifford_circuit(n: int, n_gates: int, rng: np.random.Generator) -> CliffordCircuit:
@@ -39,16 +108,18 @@ def random_clifford_circuit(n: int, n_gates: int, rng: np.random.Generator) -> C
     return CliffordCircuit(n, tuple(gates))
 
 
-def conjugate_ops(ops: list[PauliString], w: CliffordCircuit) -> list[PauliString]:
-    """The strings W P W†, by the row engine ``pauli.conjugate_rows``."""
-    from pauliframe.pauli import conjugate_rows, pauli_rows, row_pauli
+def conjugate_ops(ops, w: CliffordCircuit) -> PauliRows:
+    """The strings W P W† of a PauliRows or a list of PauliStrings, by the
+    row engine ``pauli.conjugate_rows``."""
+    from pauliframe.pauli import conjugate_rows
 
-    x, z, r = pauli_rows(ops)
-    if x.shape[1] != w.n:
-        raise ValueError(f"size mismatch: {x.shape[1]} vs {w.n}")
+    ops = ops if isinstance(ops, PauliRows) else PauliRows.stack(ops)
+    if ops.n != w.n:
+        raise ValueError(f"size mismatch: {ops.n} vs {w.n}")
+    x, z, r = ops.copies()
     for g in w.gates:
         conjugate_rows(x, z, r, g)
-    return [row_pauli(x, z, r, k) for k in range(len(ops))]
+    return PauliRows(x, z, r)
 
 
 def commutes(p: PauliString, q: PauliString) -> bool:
@@ -88,7 +159,7 @@ def dense_conjugation_check(op: PauliString, w: CliffordCircuit) -> np.ndarray:
 
 def random_commuting_set(
     n: int, N: int, rng: np.random.Generator, n_gates: int = 20
-) -> list[PauliString]:
+) -> PauliRows:
     """Random signed {I,Z} strings conjugated by a random Clifford circuit.
 
     The result pairwise commutes by construction and contains no identity.
@@ -114,7 +185,7 @@ def sets_with_dependent_rows(rng: np.random.Generator, count: int):
 
     for _ in range(count):
         n = int(rng.integers(1, 9))
-        ops = random_commuting_set(n, int(rng.integers(1, 7)), rng, n_gates=3 * n)
+        ops = list(random_commuting_set(n, int(rng.integers(1, 7)), rng, n_gates=3 * n))
         for _ in range(int(rng.integers(1, 5))):
             i, j = (int(k) for k in rng.integers(len(ops), size=2))
             a = ops[i]
@@ -122,7 +193,7 @@ def sets_with_dependent_rows(rng: np.random.Generator, count: int):
             new = [a, flipped, multiply(a, ops[j])][int(rng.integers(3))]
             if not new.is_identity():
                 ops.insert(int(rng.integers(min(i, j) + 1)), new)
-        yield ops
+        yield PauliRows.stack(ops)
 
 
 def hadamard_qubits(w: CliffordCircuit) -> list[int]:
@@ -139,7 +210,7 @@ def support_labels(support: tuple[int, ...], n: int) -> np.ndarray:
     return bits_to_index(coset(units, np.zeros(n, dtype=np.uint8)))
 
 
-def dense_pmf(ops: list[PauliString], w: CliffordCircuit) -> dict:
+def dense_pmf(ops: PauliRows, w: CliffordCircuit) -> dict:
     """pmf of K tallied by the dense oracle from the unitary of W."""
     from pauliframe.oracle import brute_pmf_K, dense_diagonal, unitary_from_circuit
 
@@ -232,7 +303,21 @@ def hnf_volume(points) -> int | None:
     return abs(math.prod(diag))
 
 
-def mc_frame_potential_dense(ops: list[PauliString], t: int, samples: int, seed: int):
+def fidelity(ops: PauliRows, theta, theta_prime) -> float:
+    """|<0| U(theta)† U(theta') |0>|^2 by direct statevector evolution."""
+    from pauliframe.oracle import _evolve, _plan, check_guard, pauli_permutation
+
+    check_guard(ops.n)
+    theta, theta_prime = np.ravel(theta), np.ravel(theta_prime)
+    if len(theta) != len(ops) or len(theta_prime) != len(ops):
+        raise ValueError("parameter vector length must equal the gate count")
+    thetas = np.stack([theta, theta_prime], axis=1).astype(np.float64)
+    rows, steps = _plan([pauli_permutation(op) for op in ops])
+    psi = _evolve(steps, thetas, np.empty((2, len(rows), 2), dtype=np.complex128))
+    return float(np.abs(np.vdot(psi[:, 0], psi[:, 1])) ** 2)
+
+
+def mc_frame_potential_dense(ops: PauliRows, t: int, samples: int, seed: int):
     """Monte-Carlo F(t) evolved on all 2**n basis states, one state per sample.
 
     Each sample's fidelity is |<0...0| U(theta' - theta) |0...0>|**2 for
@@ -254,7 +339,7 @@ def mc_frame_potential_dense(ops: list[PauliString], t: int, samples: int, seed:
             state += hv
         return state
 
-    n = ops[0].n
+    n = ops.n
     rng = np.random.Generator(np.random.Philox(key=seed))
     perms = [pauli_permutation(op) for op in ops]
     num = len(ops)

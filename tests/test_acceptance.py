@@ -10,25 +10,24 @@ from fractions import Fraction
 import numpy as np
 
 from pauliframe import (
+    PauliRows,
     build_distribution,
     clt_coefficient,
     clt_frame_potential,
     exact_frame_potential,
     lattice_volume,
     moments,
-    parse_pauli,
     simultaneous_diagonalize,
     support_points,
 )
 from pauliframe.oracle import (
     brute_pmf_K,
     dense_diagonal,
-    fidelity,
     mc_frame_potential,
     unitary_from_circuit,
 )
 
-from conftest import EXAMPLE_SET_1, EXAMPLE_SET_2, random_commuting_set, support_labels
+from conftest import EXAMPLE_SET_1, EXAMPLE_SET_2, fidelity, random_commuting_set, support_labels
 
 
 def analyze(ops):
@@ -43,7 +42,7 @@ def report(criterion: int, ok: bool, detail: str) -> None:
 
 def test_criterion_1_worked_example_golden():
     start = time.monotonic()
-    ops = [parse_pauli(s) for s in EXAMPLE_SET_1]
+    ops = PauliRows.from_strings(EXAMPLE_SET_1)
     diag, sup, dist = analyze(ops)
     mom = moments(dist)
     vol = lattice_volume(support_points(dist))
@@ -71,8 +70,8 @@ def test_criterion_1_worked_example_golden():
 
 def test_criterion_2_second_example():
     start = time.monotonic()
-    ops1 = [parse_pauli(s) for s in EXAMPLE_SET_1]
-    ops2 = [parse_pauli(s) for s in EXAMPLE_SET_2]
+    ops1 = PauliRows.from_strings(EXAMPLE_SET_1)
+    ops2 = PauliRows.from_strings(EXAMPLE_SET_2)
     _, sup1, dist1 = analyze(ops1)
     _, sup2, dist2 = analyze(ops2)
     mom1, mom2 = moments(dist1), moments(dist2)
@@ -87,7 +86,7 @@ def test_criterion_2_second_example():
 
 
 def test_criterion_3_single_x_closed_form():
-    dist = build_distribution([parse_pauli("X")])
+    dist = build_distribution(PauliRows.from_strings(["X"]))
     mom = moments(dist)
     vol = lattice_volume(support_points(dist))
     ok = mom.det_cov == 1
@@ -145,7 +144,7 @@ def test_criterion_4_oracle_equivalence_sweep():
 
 def test_criterion_5_clt_convergence():
     start = time.monotonic()
-    ops = [parse_pauli(s) for s in EXAMPLE_SET_1]
+    ops = PauliRows.from_strings(EXAMPLE_SET_1)
     dist = build_distribution(ops)
     mom = moments(dist)
     vol = lattice_volume(support_points(dist))
@@ -167,9 +166,9 @@ def test_criterion_5_clt_convergence():
 
 def test_criterion_6_monte_carlo_consistency():
     pairs = [
-        [parse_pauli("XX"), parse_pauli("ZZ")],
-        [parse_pauli("XZ"), parse_pauli("ZX")],
-        [parse_pauli("YY"), parse_pauli("XX")],
+        PauliRows.from_strings(["XX", "ZZ"]),
+        PauliRows.from_strings(["XZ", "ZX"]),
+        PauliRows.from_strings(["YY", "XX"]),
     ]
     worst_z = 0.0
     ok = True
@@ -185,7 +184,7 @@ def test_criterion_6_monte_carlo_consistency():
 
 
 def test_criterion_7_degenerate_single_z():
-    ops = [parse_pauli("Z")]
+    ops = PauliRows.from_strings(["Z"])
     dist = build_distribution(ops)
     mom = moments(dist)
     vol = lattice_volume(support_points(dist))

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import itertools
 import json
 import math
+import random
 import sys
+import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +19,13 @@ from hypothesis import strategies as st
 from pauliframe import cli, oracle, pauli, tableau
 from pauliframe.cli import main
 
-from conftest import EXAMPLE_SET_1, EXAMPLE_SET_2, EXAMPLE_SET_3, walk_count_frame_potential
+from conftest import (
+    EXAMPLE_SET_1,
+    EXAMPLE_SET_2,
+    EXAMPLE_SET_3,
+    load_pauli_file_reference,
+    walk_count_frame_potential,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -367,6 +378,22 @@ class TestExitCodes:
             f"resource guard: dense oracle limited to n <= {oracle.MAX_QUBITS}, got {n}\n"
         )
 
+    @pytest.mark.parametrize("command", ["report", "frame-potential"])
+    def test_monte_carlo_work_guard_exit_4(self, capsys, example_file, command):
+        # samples x N x 2**rho = 10**12 x 5 x 16 is refused before the first
+        # batch; the largest Monte Carlo the CI runs, 20000 x 10 x 2**10,
+        # stays at least ten times below the cap.
+        assert 10 * 20000 * 10 * 2**10 <= oracle.MC_WORK_CAP
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, example_file, "--mc-samples", str(10**12))
+        assert time.perf_counter() - start < 1.0
+        assert code == 4
+        assert out == ""
+        assert err == (
+            "resource guard: Monte-Carlo work samples x N x 2**rho = "
+            f"{10**12 * 5 * 16} exceeds the cap {oracle.MC_WORK_CAP}; lower --mc-samples\n"
+        )
+
     @pytest.mark.parametrize(
         "content", ["XX\nZZ\n", "Z\n"], ids=["nondegenerate", "degenerate"]
     )
@@ -443,6 +470,86 @@ class TestExitCodes:
         code, out, _ = run(capsys, "check", str(path))
         assert code == 0
         assert json.loads(out)["N"] == 2
+
+
+def _input_line(rng: random.Random, n: int) -> str:
+    """One input line on n qubits: mostly a valid string, a comment or a
+    blank; sometimes a string of another length, with an invalid
+    character, an identity or a lone sign."""
+    body = "".join(rng.choices("IXYZ", k=n))
+    fault = rng.random()
+    if fault < 0.04:
+        body = "I" * n
+    elif fault < 0.08:
+        body = "".join(rng.choices("IXYZ", k=rng.randint(1, 5)))
+    elif fault < 0.12:
+        q = rng.randrange(n)
+        body = body[:q] + rng.choice(["Q", "x", " ", "é", "+"]) + body[q + 1 :]
+    elif fault < 0.14:
+        body = ""
+    elif fault < 0.2:
+        return rng.choice(["", "   ", "# comment"])
+    elif not body.strip("I"):
+        body = "X" + body[1:]
+    pad = ["", " ", "\t "]
+    text = rng.choice(pad) + rng.choice(["", "+", "-", "−"]) + body + rng.choice(pad)
+    return text + rng.choice(["", "", "", "#", " # note"])
+
+
+@st.composite
+def input_files(draw) -> bytes:
+    """The bytes of an input file: lines with mixed endings, a possible
+    byte-order mark and a possible byte that is not valid UTF-8."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n = rng.randint(1, 4)
+    lines = [_input_line(rng, n) for _ in range(rng.randint(0, 8))]
+    data = "".join(line + rng.choice(["\n", "\r\n", "\r"]) for line in lines).encode()
+    if rng.random() < 0.15:
+        at = rng.randint(0, len(data))
+        data = data[:at] + rng.choice([b"\xff", b"\xc3(", b"\xe2\x88"]) + data[at:]
+    return (b"\xef\xbb\xbf" if rng.random() < 0.3 else b"") + data
+
+
+class TestLoaderReference:
+    """``cli.load_pauli_file`` against the per-line reference loader in
+    conftest: the same rows, or the same exit code and stderr."""
+
+    @staticmethod
+    def _check(path, loader):
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.object(cli, "load_pauli_file", loader):
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["check", path])
+        return code, out.getvalue(), err.getvalue()
+
+    @settings(max_examples=150, deadline=None)
+    @given(input_files())
+    def test_same_rows_or_same_error(self, tmp_path_factory, data):
+        path = tmp_path_factory.getbasetemp() / "loader-reference.txt"
+        path.write_bytes(data)
+        got = self._check(str(path), cli.load_pauli_file)
+        assert got == self._check(str(path), load_pauli_file_reference)
+        if got[0] != 2:
+            rows, ref = cli.load_pauli_file(str(path)), load_pauli_file_reference(str(path))
+            for a, b in ((rows.x, ref.x), (rows.z, ref.z), (rows.r, ref.r)):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "lines, line",
+        [
+            (["XX", "XQ", "-II"], 2),  # an invalid character before an identity line
+            (["XX", "II", "XQ"], 2),  # and after one
+            (["XX", "\tX", "II"], 2),
+            (["XX", "XZ", "XXX"], 3),
+        ],
+    )
+    def test_first_failing_line_is_reported(self, capsys, tmp_path, lines, line):
+        path = tmp_path / "ops.txt"
+        path.write_text("\r\n".join(lines))
+        code, out, err = run(capsys, "check", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"parse error: line {line}: ")
+        assert err == self._check(str(path), load_pauli_file_reference)[2]
 
 
 def x_rows_file(path, n: int, codes) -> str:

@@ -7,9 +7,9 @@ import pytest
 
 from pauliframe import (
     NonCommutingSetError,
+    PauliRows,
     check_commuting_set,
     multiply,
-    parse_pauli,
     simultaneous_diagonalize,
     verify_diagonalization,
 )
@@ -20,16 +20,16 @@ from conftest import conjugate_ops, dense_conjugation_check, random_commuting_se
 
 class TestSimultaneousDiagonalize:
     def test_already_diagonal(self):
-        result = simultaneous_diagonalize([parse_pauli("Z")])
+        result = simultaneous_diagonalize(PauliRows.from_strings(["Z"]))
         assert result.circuit.gates == ()
         assert result.A.tolist() == [[1]]
         assert result.s.tolist() == [0]
 
     def test_single_x(self):
-        result = simultaneous_diagonalize([parse_pauli("X")])
+        result = simultaneous_diagonalize(PauliRows.from_strings(["X"]))
         assert result.A.tolist() == [[1]]
         assert result.s.tolist() == [0]
-        (lam,) = conjugate_ops([parse_pauli("X")], result.circuit)
+        (lam,) = conjugate_ops(PauliRows.from_strings(["X"]), result.circuit)
         assert not lam.x.any() and lam.z.tolist() == [1] and lam.sign == 1
 
     def test_worked_set_diagonalizes(self, example_ops_1):
@@ -41,18 +41,14 @@ class TestSimultaneousDiagonalize:
             assert np.array_equal(lam.z, result.A[j])
 
     def test_noncommuting_reports_pair(self):
-        ops = [parse_pauli("XX"), parse_pauli("ZI")]
+        ops = PauliRows.from_strings(["XX", "ZI"])
         with pytest.raises(NonCommutingSetError) as exc:
             simultaneous_diagonalize(ops)
         assert exc.value.pair == (0, 1)
 
     def test_identity_rejected(self):
         with pytest.raises(ValueError, match="identity"):
-            simultaneous_diagonalize([parse_pauli("ZI"), parse_pauli("II")])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            simultaneous_diagonalize([])
+            simultaneous_diagonalize(PauliRows.from_strings(["ZI", "II"]))
 
     def test_completeness_random_sets(self):
         rng = np.random.default_rng(101)
@@ -81,7 +77,7 @@ class TestSimultaneousDiagonalize:
             prod = multiply(ops[0], ops[1])
             if prod.is_identity():
                 continue
-            triple = ops + [prod]
+            triple = PauliRows.stack([*ops, prod])
             result = simultaneous_diagonalize(triple)
             assert np.array_equal(result.A[2], result.A[0] ^ result.A[1])
 

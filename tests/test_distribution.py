@@ -7,12 +7,12 @@ import pytest
 
 from pauliframe import (
     NonCommutingSetError,
+    PauliRows,
     PauliString,
     build_distribution,
     gf2,
     moments,
     multiply,
-    parse_pauli,
     simultaneous_diagonalize,
     support_points,
 )
@@ -25,6 +25,7 @@ from conftest import (
     dense_pmf,
     hadamard_qubits,
     random_commuting_set,
+    rank,
     sets_with_dependent_rows,
 )
 
@@ -60,13 +61,13 @@ class TestBuildDistribution:
         assert dist.pmf_value == Fraction(1, 16)
 
     def test_point_mass(self):
-        dist = build_distribution([parse_pauli("Z")])
+        dist = build_distribution(PauliRows.from_strings(["Z"]))
         assert dist.rho == 0
         assert dist.support_size == 1
         assert dist.pmf_value == 1
 
     def test_noncommuting_names_first_pair(self):
-        ops = [parse_pauli(s) for s in ["ZZ", "XX", "ZI", "IZ"]]
+        ops = PauliRows.from_strings(["ZZ", "XX", "ZI", "IZ"])
         with pytest.raises(NonCommutingSetError) as exc:
             build_distribution(ops)
         assert exc.value.pair == (1, 2)
@@ -74,7 +75,7 @@ class TestBuildDistribution:
     def test_offset_is_zero_at_pivots_and_sign_elsewhere(self):
         # XX is the only pivot.  -ZZ has no X part and reads -1 on |00>;
         # YY * XX = -ZZ and -XX * XX = -II also read -1.
-        ops = [parse_pauli(s) for s in ["XX", "-ZZ", "YY", "-XX"]]
+        ops = PauliRows.from_strings(["XX", "-ZZ", "YY", "-XX"])
         dist = build_distribution(ops)
         assert dist.b0.tolist() == [0, 1, 1, 1]
         assert dist.basis.tolist() == [[1, 0, 1, 1]]
@@ -82,7 +83,7 @@ class TestBuildDistribution:
     def test_diagonalized_set_carries_the_same_law(self):
         # simultaneous_diagonalize reads the law off the elimination that
         # builds W; it must be build_distribution's, array for array.
-        sets = [[parse_pauli(s) for s in EXAMPLE_SET_3]]
+        sets = [PauliRows.from_strings(EXAMPLE_SET_3)]
         sets += sets_with_dependent_rows(np.random.default_rng(71), 200)
         for ops in sets:
             law, dist = simultaneous_diagonalize(ops).law, build_distribution(ops)
@@ -124,10 +125,11 @@ class TestThreeEngines:
         with_kernel = 0
         for _ in range(150):
             n = int(rng.integers(1, 8))
-            ops = random_commuting_set(n, int(rng.integers(1, 8)), rng)
+            ops = list(random_commuting_set(n, int(rng.integers(1, 8)), rng))
             for _ in range(int(rng.integers(0, 3))):
                 op = ops[int(rng.integers(len(ops)))]
                 ops.append(PauliString(n, op.x, op.z, int(rng.choice([1, -1]))))
+            ops = PauliRows.stack(ops)
             dist = build_distribution(ops)
             X = np.stack([op.x for op in ops])
             assert np.array_equal(dist.basis, gf2.row_space_basis(X.T))
@@ -143,7 +145,7 @@ class TestThreeEngines:
             diag = simultaneous_diagonalize(ops)
             P = hadamard_qubits(diag.circuit)
             assert np.array_equal(dist.basis, gf2.row_space_basis(diag.A[:, P].T))
-            assert gf2.rank(np.vstack([dist.basis, diag.s ^ dist.b0])) == len(dist.basis)
+            assert rank(np.vstack([dist.basis, diag.s ^ dist.b0])) == len(dist.basis)
             built = dict.fromkeys(map(tuple, support_points(dist).tolist()), dist.pmf_value)
             assert dense_pmf(ops, diag.circuit) == built
         assert with_kernel > 100  # sets with a parity constraint on b0
@@ -159,13 +161,13 @@ class TestSupportPoints:
         assert all(set(p) <= {-1, 1} for p in as_tuples)
 
     def test_point_mass_singleton(self):
-        dist = build_distribution([parse_pauli("Z")])
+        dist = build_distribution(PauliRows.from_strings(["Z"]))
         pts = support_points(dist)
         assert len(pts) == 1
         assert pts[0].tolist() == [1]
 
     def test_single_x_two_points(self):
-        dist = build_distribution([parse_pauli("X")])
+        dist = build_distribution(PauliRows.from_strings(["X"]))
         pts = {tuple(int(v) for v in p) for p in support_points(dist)}
         assert pts == {(1,), (-1,)}
 
@@ -186,14 +188,14 @@ class TestMoments:
         assert not mom.degenerate
 
     def test_point_mass_degenerate(self):
-        dist = build_distribution([parse_pauli("Z")])
+        dist = build_distribution(PauliRows.from_strings(["Z"]))
         mom = moments(dist)
         assert mom.mean.tolist() == [1]
         assert not mom.covariance.any()
         assert mom.degenerate
 
     def test_single_x(self):
-        dist = build_distribution([parse_pauli("X")])
+        dist = build_distribution(PauliRows.from_strings(["X"]))
         mom = moments(dist)
         assert mom.mean.tolist() == [0]
         assert mom.covariance.tolist() == [[1]]
@@ -243,7 +245,7 @@ class TestWInvariance:
             ops = random_commuting_set(n, N, rng)
             perm = rng.permutation(N)
             d1 = build_distribution(ops)
-            d2_p = build_distribution([ops[i] for i in perm])
+            d2_p = build_distribution(PauliRows.stack([ops[i] for i in perm]))
             pts1 = {tuple(int(v) for v in p) for p in support_points(d1)}
             # Undo the permutation on each support vector of the variant.
             inv = np.argsort(perm)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from pauliframe import (
+    PauliRows,
     PauliString,
     build_distribution,
     clt_coefficient,
@@ -19,7 +20,6 @@ from pauliframe import (
     gf2,
     lattice_volume,
     moments,
-    parse_pauli,
     support_points,
 )
 from pauliframe.lattice import FloatRangeError, QuadratureCapError
@@ -29,6 +29,7 @@ from conftest import (
     hnf_diagonal,
     hnf_volume,
     random_commuting_set,
+    rank,
     walk_count_frame_potential,
 )
 
@@ -37,8 +38,7 @@ def x_type_set(n: int, N: int, rng: np.random.Generator):
     """N distinct nonzero X-type strings on n qubits (requires N < 2^n)."""
     codes = rng.choice(np.arange(1, 2**n), size=N, replace=False)
     rows = (codes[:, None] >> np.arange(n)) & 1
-    signs = rng.choice([1, -1], size=N)
-    return [PauliString(n, row, np.zeros(n, np.uint8), int(s)) for row, s in zip(rows, signs)]
+    return PauliRows(rows, np.zeros_like(rows), rng.choice([0, 1], size=N))
 
 
 def degenerate_x_type_set(n: int, N: int, rng: np.random.Generator):
@@ -59,7 +59,7 @@ def degenerate_x_type_set(n: int, N: int, rng: np.random.Generator):
         if not x.any():
             z[n] = 1
         ops.append(PauliString(n + 1, x, z, int(rng.choice([1, -1]))))
-    return ops
+    return PauliRows.stack(ops)
 
 
 def coset_points(generators, b0) -> np.ndarray:
@@ -77,7 +77,7 @@ def reed_muller_1(m: int) -> np.ndarray:
 def schur_square_dim(basis) -> int:
     """dim C*C from the pairwise products of the rows of ``basis``."""
     basis = np.asarray(basis, dtype=np.uint8)
-    return gf2.rank((basis[:, None, :] & basis[None, :, :]).reshape(-1, basis.shape[1]))
+    return rank((basis[:, None, :] & basis[None, :, :]).reshape(-1, basis.shape[1]))
 
 
 codes = st.integers(1, 7).flatmap(
@@ -135,7 +135,7 @@ class TestLatticeVolume:
             v1 = lattice_volume(support_points(build_distribution(ops)))
             perm = list(rng.permutation(N))
             v2 = lattice_volume(
-                support_points(build_distribution([ops[i] for i in perm]))
+                support_points(build_distribution(PauliRows.stack([ops[i] for i in perm])))
             )
             assert v1 == v2
 
@@ -288,7 +288,7 @@ class TestCltFramePotential:
 
 class TestExactFramePotential:
     def test_single_x_binomial(self):
-        dist = build_distribution([parse_pauli("X")])
+        dist = build_distribution(PauliRows.from_strings(["X"]))
         for t in range(1, 9):
             expected = math.comb(2 * t, t) / 4**t
             assert exact_frame_potential(dist, t) == pytest.approx(
@@ -296,7 +296,7 @@ class TestExactFramePotential:
             )
 
     def test_point_mass_is_one(self):
-        dist = build_distribution([parse_pauli("Z")])
+        dist = build_distribution(PauliRows.from_strings(["Z"]))
         for t in (1, 3, 10):
             assert exact_frame_potential(dist, t) == 1.0
 
@@ -324,9 +324,9 @@ class TestExactFramePotential:
     def test_matches_integer_walk_counts(self):
         rng = np.random.default_rng(1313)
         cases = [
-            [parse_pauli("X")],
-            [parse_pauli("-Z")],  # point mass
-            [parse_pauli("ZZ"), parse_pauli("IZ")],
+            PauliRows.from_strings(["X"]),
+            PauliRows.from_strings(["-Z"]),  # point mass
+            PauliRows.from_strings(["ZZ", "IZ"]),
             x_type_set(6, 6, rng),
             x_type_set(5, 6, rng),
         ]
@@ -345,7 +345,7 @@ class TestExactFramePotential:
 
     def test_memory_stays_below_one_grid_array(self):
         # N = 6 at t = 12: the full grid is 13^6 points, 77 MB as complex128.
-        ops = [PauliString(6, x, np.zeros(6, np.uint8)) for x in np.eye(6, dtype=np.uint8)]
+        ops = PauliRows(np.eye(6), np.zeros((6, 6)), np.zeros(6))
         dist = build_distribution(ops)
         tracemalloc.start()
         try:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from pauliframe import (
     CliffordCircuit,
     CliffordGate,
+    PauliRows,
     PauliString,
     build_distribution,
     check_commuting_set,
@@ -29,7 +30,6 @@ from pauliframe.oracle import (
     _plan,
     bits_to_index,
     dense_diagonal,
-    fidelity,
     mc_frame_potential,
     pauli_permutation,
     unitary_from_circuit,
@@ -39,15 +39,17 @@ from conftest import (
     apply_pauli,
     conjugate_ops,
     dense_conjugation_check,
+    fidelity,
     mc_frame_potential_dense,
     pauli_matrix,
     random_clifford_circuit,
     random_commuting_set,
+    rank,
     sets_with_dependent_rows,
 )
 
 
-def ranked_commuting_set(n: int, rho: int, extra: int, rng) -> list[PauliString]:
+def ranked_commuting_set(n: int, rho: int, extra: int, rng) -> PauliRows:
     """rho + extra commuting signed strings on n qubits, X-block of rank rho.
 
     Z-type rows whose first rho are Z on qubit q < rho (plus Z letters on
@@ -213,7 +215,7 @@ class TestDenseDiagonal:
                 assert dense_diagonal(op, w).tolist() == np.rint(np.diag(m).real).tolist()
 
     def test_raises_when_the_circuit_does_not_diagonalize(self):
-        w = simultaneous_diagonalize([parse_pauli("XX"), parse_pauli("ZZ")]).circuit
+        w = simultaneous_diagonalize(PauliRows.from_strings(["XX", "ZZ"])).circuit
         for text in ("XI", "IY", "XZ"):
             with pytest.raises(ValueError, match="not diagonal"):
                 dense_diagonal(parse_pauli(text), w)
@@ -223,19 +225,19 @@ class TestDenseDiagonal:
 
 class TestFidelity:
     def test_equal_parameters(self):
-        ops = [parse_pauli("XZ"), parse_pauli("ZX")]
+        ops = PauliRows.from_strings(["XZ", "ZX"])
         theta = [0.3, -1.1]
         assert fidelity(ops, theta, theta) == pytest.approx(1.0, abs=1e-12)
 
     def test_single_z_identically_one(self):
         rng = np.random.default_rng(6)
-        ops = [parse_pauli("Z")]
+        ops = PauliRows.from_strings(["Z"])
         for _ in range(20):
             a, b = rng.uniform(-math.pi, math.pi, 2)
             assert fidelity(ops, [a], [b]) == pytest.approx(1.0, abs=1e-12)
 
     def test_single_x_cosine(self):
-        ops = [parse_pauli("X")]
+        ops = PauliRows.from_strings(["X"])
         rng = np.random.default_rng(7)
         for _ in range(20):
             a, b = rng.uniform(-math.pi, math.pi, 2)
@@ -258,16 +260,16 @@ class TestFidelity:
 
 class TestMonteCarlo:
     def test_single_z_exactly_one(self):
-        est, err = mc_frame_potential([parse_pauli("Z")], 3, 10_000, seed=1)
+        est, err = mc_frame_potential(PauliRows.from_strings(["Z"]), 3, 10_000, seed=1)
         assert est == pytest.approx(1.0, abs=1e-12)
         assert err == pytest.approx(0.0, abs=1e-12)
 
     def test_single_x_cos4(self):
-        est, err = mc_frame_potential([parse_pauli("X")], 2, 400_000, seed=2)
+        est, err = mc_frame_potential(PauliRows.from_strings(["X"]), 2, 400_000, seed=2)
         assert abs(est - 3 / 8) < 3 * err
 
     def test_seed_reproducibility(self):
-        ops = [parse_pauli("XX"), parse_pauli("ZZ")]
+        ops = PauliRows.from_strings(["XX", "ZZ"])
         a = mc_frame_potential(ops, 2, 50_000, seed=99)
         b = mc_frame_potential(ops, 2, 50_000, seed=99)
         assert a == b
@@ -282,13 +284,13 @@ class TestMonteCarlo:
 
     def test_zero_samples(self):
         with pytest.raises(ValueError):
-            mc_frame_potential([parse_pauli("X")], 1, 0, seed=0)
+            mc_frame_potential(PauliRows.from_strings(["X"]), 1, 0, seed=0)
 
     def test_batch_memory_bounded_at_max_qubits(self):
         # At n = 10 a draw batch is 2**12 samples, one state of 2**22
         # amplitudes (64 MiB of complex128) if evolved whole; blocks of
         # _BLOCK amplitudes keep the peak far under five of those.
-        ops = [parse_pauli("X" + "I" * (MAX_QUBITS - 1))]
+        ops = PauliRows.from_strings(["X" + "I" * (MAX_QUBITS - 1)])
         tracemalloc.start()
         try:
             est, err = mc_frame_potential(ops, 1, 1 << 13, seed=5)
@@ -299,14 +301,14 @@ class TestMonteCarlo:
         assert abs(est - 1 / 2) < 3 * err  # F(1) = E cos^2 = 1/2
 
 
-def y_heavy_set(n: int, rng) -> list[PauliString]:
+def y_heavy_set(n: int, rng) -> PauliRows:
     """Y-type strings, which commute pairwise; one with an odd number of Y
     letters has phases +-i."""
-    return [
+    return PauliRows.stack([
         PauliString(n, y, y, int(rng.choice([-1, 1])))
         for y in rng.integers(0, 2, size=(n + 2, n)).astype(np.uint8)
         if y.any()
-    ]
+    ])
 
 
 def assert_terms_are_fidelities(ops, samples, seed):
@@ -348,7 +350,7 @@ class TestReachableRows:
         for n in range(1, 8):
             for rho in range(n + 1):
                 ops = ranked_commuting_set(n, rho, 2, rng)
-                assert gf2.rank(np.stack([op.x for op in ops])) == rho
+                assert rank(np.stack([op.x for op in ops])) == rho
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -375,7 +377,7 @@ class TestReachableRows:
             )
 
     def test_z_only_set_reaches_only_zero(self):
-        ops = [parse_pauli(s) for s in ("ZII", "-IZI", "ZZZ", "-IIZ")]
+        ops = PauliRows.from_strings(("ZII", "-IZI", "ZZZ", "-IIZ"))
         assert _plan([pauli_permutation(op) for op in ops])[0].tolist() == [0]
         for samples in (1, 2, 5, (1 << 14) + 1):
             args = (ops, 3, samples, samples)
@@ -406,10 +408,9 @@ class TestReachableRows:
         # X on each of 10 qubits: rho = 10 and every row is reachable.  A
         # draw batch is 4096 samples, whose two 2**22-amplitude state
         # batches took 64 MiB each when evolved whole.
-        ops = [
-            parse_pauli("I" * q + "X" + "I" * (MAX_QUBITS - 1 - q))
-            for q in range(MAX_QUBITS)
-        ]
+        ops = PauliRows.from_strings(
+            "I" * q + "X" + "I" * (MAX_QUBITS - 1 - q) for q in range(MAX_QUBITS)
+        )
         tracemalloc.start()
         try:
             est, err = mc_frame_potential(ops, 1, 4096 + 3, seed=6)
@@ -435,7 +436,7 @@ class TestGrowthOrder:
         x = np.stack([op.x for op in ops])
         for j, (axes, f) in enumerate(steps):
             acted = 2 * len(f) if axes is None else len(f)
-            assert acted == 2 ** gf2.rank(x[: j + 1])
+            assert acted == 2 ** rank(x[: j + 1])
         grown = bits_to_index(x)[[axes is None for axes, _ in steps]].tolist()
         for k, row in enumerate(rows.tolist()):
             picked = [m for b, m in enumerate(grown) if k >> b & 1]
@@ -443,7 +444,7 @@ class TestGrowthOrder:
 
     def test_a_mask_repeated_before_the_span_is_full(self):
         a, b, c, d = ranked_commuting_set(6, 4, 0, np.random.default_rng(31))
-        ops = [a, b, multiply(a, b), PauliString(6, a.x, a.z, -a.sign), c, d]
+        ops = PauliRows.stack([a, b, multiply(a, b), PauliString(6, a.x, a.z, -a.sign), c, d])
         assert check_commuting_set(ops) is None
         steps = _plan([pauli_permutation(op) for op in ops])[1]
         assert [axes for axes, _ in steps] == [None, None, (1, 0), (1,), None, None]
@@ -451,7 +452,7 @@ class TestGrowthOrder:
             assert_same_terms(ops, 2, samples, samples)
 
     def test_a_z_only_first_operator_adds_no_row(self):
-        ops = [parse_pauli(s) for s in ("-ZZI", "XXI", "IIX", "YYX")]
+        ops = PauliRows.from_strings(("-ZZI", "XXI", "IIX", "YYX"))
         assert check_commuting_set(ops) is None
         steps = _plan([pauli_permutation(op) for op in ops])[1]
         assert [axes for axes, _ in steps] == [(), None, None, (1, 0)]
@@ -463,11 +464,11 @@ class TestGrowthOrder:
         # letters has phases +-i.
         rng = np.random.default_rng(32)
         for n in (2, 5, 7):
-            ops = [
+            ops = PauliRows.stack([
                 PauliString(n, y, y, int(rng.choice([-1, 1])))
                 for y in rng.integers(0, 2, size=(n + 2, n)).astype(np.uint8)
                 if y.any()
-            ]
+            ])
             assert_same_terms(ops, 2, 700, n)
 
     def test_full_rank_at_eight_qubits_across_a_draw_batch(self):

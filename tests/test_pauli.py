@@ -11,27 +11,28 @@ from pauliframe import (
     CliffordCircuit,
     CliffordGate,
     PauliParseError,
+    PauliRows,
     PauliString,
+    build_distribution,
     check_commuting_set,
     multiply,
     parse_pauli,
+    simultaneous_diagonalize,
+    verify_diagonalization,
 )
-from pauliframe import gf2
-from pauliframe.pauli import (
-    conjugate_rows,
-    format_pauli,
-    multiply_rows,
-    pauli_rows,
-    row_pauli,
-)
+from pauliframe.oracle import mc_frame_potential
+from pauliframe.pauli import conjugate_rows, format_pauli, multiply_rows
 
 from conftest import (
     EXAMPLE_SET_1,
+    EXAMPLE_SET_3,
     commutes,
     conjugate_ops,
     inverse_circuit,
+    parse_pauli_reference,
     pauli_matrix,
     random_clifford_circuit,
+    rank,
 )
 
 pauli_texts = st.builds(
@@ -62,6 +63,7 @@ class TestParse:
 
     def test_unicode_minus(self):
         assert parse_pauli("−Z") == parse_pauli("-Z")
+        assert hash(parse_pauli("−Z")) == hash(parse_pauli("-Z"))
 
     def test_invalid_character(self):
         with pytest.raises(PauliParseError, match="invalid character"):
@@ -72,13 +74,104 @@ class TestParse:
             parse_pauli("-")
 
     def test_length_mismatch(self):
-        with pytest.raises(PauliParseError, match="expected 3"):
-            parse_pauli("XX", n_expected=3)
+        # The first string's length is the one every later string must have.
+        with pytest.raises(PauliParseError, match="expected 3 qubits, got 2 in 'XX'") as exc:
+            PauliRows.from_strings(["XXX", "ZZZ", "XX"])
+        assert exc.value.index == 2
 
     @given(pauli_texts)
     def test_round_trip(self, text):
         p = parse_pauli(text)
         assert parse_pauli(format_pauli(p)) == p
+
+    @given(st.text(alphabet="IXYZQx +-−\t", max_size=8), st.none() | st.integers(1, 4))
+    def test_matches_the_per_character_reference(self, text, n):
+        # A first string of n letters sets the length that text must have.
+        texts = [text] if n is None else ["I" * n, text]
+        try:
+            expected = parse_pauli_reference(text, n)
+        except PauliParseError as exc:
+            with pytest.raises(PauliParseError) as got:
+                PauliRows.from_strings(texts)
+            assert str(got.value) == str(exc)
+        else:
+            assert PauliRows.from_strings(texts)[-1] == expected
+
+
+class TestPauliRows:
+    def test_rows_and_items(self):
+        ops = PauliRows.from_strings(["-XYZ", "+IZI", "−YYI"])
+        assert (ops.n, len(ops)) == (3, 3)
+        assert ops.x.tolist() == [[1, 1, 0], [0, 0, 0], [1, 1, 0]]
+        assert ops.z.tolist() == [[0, 1, 1], [0, 1, 0], [1, 1, 0]]
+        assert ops.r.tolist() == [1, 0, 1]
+        assert list(ops) == [parse_pauli(s) for s in ["-XYZ", "IZI", "-YYI"]]
+        assert ops[-1] == parse_pauli("-YYI")
+
+    def test_stack_inverts_iteration(self):
+        ops = PauliRows.from_strings(EXAMPLE_SET_1)
+        again = PauliRows.stack(list(ops))
+        for a, b in ((ops.x, again.x), (ops.z, again.z), (ops.r, again.r)):
+            assert a.dtype == b.dtype == np.uint8 and np.array_equal(a, b)
+
+    def test_empty_set_rejected(self):
+        with pytest.raises(ValueError, match="empty operator list"):
+            PauliRows.stack([])
+        with pytest.raises(ValueError, match="empty operator list"):
+            PauliRows(np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0))
+
+    def test_no_strings_rejected(self):
+        with pytest.raises(ValueError, match="empty operator list"):
+            PauliRows.from_strings([])
+
+    def test_mixed_lengths_rejected(self):
+        with pytest.raises(ValueError, match="mixed qubit counts"):
+            PauliRows.stack([parse_pauli("X"), parse_pauli("XX")])
+        with pytest.raises(ValueError, match="bad row shapes"):
+            PauliRows(np.zeros((2, 3)), np.zeros((2, 2)), np.zeros(2))
+        with pytest.raises(ValueError, match="bad row shapes"):
+            PauliRows(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros(3))
+
+    def test_no_qubits_rejected(self):
+        with pytest.raises(ValueError, match="bad row shapes"):
+            PauliRows(np.zeros((2, 0)), np.zeros((2, 0)), np.zeros(2))
+
+    def test_identity_rows_only_where_asked(self):
+        assert PauliRows.from_strings(["XX", "II"])[1].is_identity()
+        with pytest.raises(PauliParseError, match="global phase") as exc:
+            PauliRows.from_strings(["XX", "-II"], identity=False)
+        assert exc.value.index == 1
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            check_commuting_set,
+            build_distribution,
+            simultaneous_diagonalize,
+            lambda ops: verify_diagonalization(ops, simultaneous_diagonalize(ops)),
+            lambda ops: mc_frame_potential(ops, [1, 2], 50, seed=3),
+        ],
+        ids=["check", "distribution", "diagonalize", "verify", "monte-carlo"],
+    )
+    @pytest.mark.parametrize("texts", [EXAMPLE_SET_1, EXAMPLE_SET_3], ids=["set1", "set3"])
+    def test_library_functions_leave_the_set_unchanged(self, call, texts):
+        # EXAMPLE_SET_3 has rows that the X-block elimination rewrites.
+        ops = PauliRows.from_strings(texts)
+        before = [a.tobytes() for a in (ops.x, ops.z, ops.r)]
+        call(ops)
+        assert [a.tobytes() for a in (ops.x, ops.z, ops.r)] == before
+
+    def test_arrays_are_read_only_copies(self):
+        x = np.eye(2, dtype=np.uint8)
+        ops = PauliRows(x, x, np.zeros(2, dtype=np.uint8))
+        x[0, 0] = 0
+        assert ops.x[0, 0] == 1 and ops.z[0, 0] == 1
+        for a in (ops.x, ops.z, ops.r):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1
+        for a in ops.copies():
+            a[0] = 1 - a[0]  # writable copies, apart from the set
+        assert ops.x.tolist() == ops.z.tolist() == [[1, 0], [0, 1]] and not ops.r.any()
 
 
 class TestCommutes:
@@ -113,25 +206,17 @@ class TestCheckCommutingSet:
         assert check_commuting_set(example_ops_1) is None
 
     def test_singleton(self):
-        assert check_commuting_set([parse_pauli("Z")]) is None
+        assert check_commuting_set(PauliRows.from_strings(["Z"])) is None
 
     def test_first_violating_pair(self):
-        ops = [parse_pauli(s) for s in ["XX", "ZI", "IZ"]]
+        ops = PauliRows.from_strings(["XX", "ZI", "IZ"])
         assert check_commuting_set(ops) == (0, 1)
-
-    def test_empty(self):
-        with pytest.raises(ValueError):
-            check_commuting_set([])
-
-    def test_mixed_lengths(self):
-        with pytest.raises(ValueError):
-            check_commuting_set([parse_pauli("X"), parse_pauli("XX")])
 
     @given(st.integers(1, 6).flatmap(lambda n: st.lists(
         st.text(alphabet="IXYZ", min_size=n, max_size=n), min_size=1, max_size=12
     )))
     def test_matches_pairwise_commutes(self, texts):
-        ops = [parse_pauli(t) for t in texts]
+        ops = PauliRows.from_strings(texts)
         first = next(
             ((i, j) for i, j in itertools.combinations(range(len(ops)), 2)
              if not commutes(ops[i], ops[j])),
@@ -144,7 +229,7 @@ class TestCheckCommutingSet:
         # anticommuting pair is (1200, 1800), in a later block.
         texts = ["IZ"] * 2100
         texts[1200], texts[1800] = "ZI", "XI"
-        ops = [parse_pauli(t) for t in texts]
+        ops = PauliRows.from_strings(texts)
         assert check_commuting_set(ops) == (1200, 1800)
 
 
@@ -167,17 +252,17 @@ class TestConjugate:
         assert conjugate(parse_pauli("Z"), CliffordGate("X", (0,))) == parse_pauli("-Z")
 
     def test_out_of_range(self):
-        x, z, r = pauli_rows([parse_pauli("X")])
+        x, z, r = PauliRows.from_strings(["X"]).copies()
         with pytest.raises(ValueError, match="out of range"):
             conjugate_rows(x, z, r, CliffordGate("H", (1,)))
 
     def test_empty_circuit(self):
         p = parse_pauli("-XYZ")
-        assert conjugate_ops([p], CliffordCircuit(3)) == [p]
+        assert list(conjugate_ops([p], CliffordCircuit(3))) == [p]
 
     def test_single_h_circuit(self):
         w = CliffordCircuit(1, (CliffordGate("H", (0,)),))
-        assert conjugate_ops([parse_pauli("X")], w) == [parse_pauli("Z")]
+        assert list(conjugate_ops([parse_pauli("X")], w)) == [parse_pauli("Z")]
 
     def test_matches_dense_conjugation(self):
         rng = np.random.default_rng(11)
@@ -199,7 +284,7 @@ class TestConjugate:
             p = _random_pauli(n, rng)
             w = random_clifford_circuit(n, 15, rng)
             back = conjugate_ops(conjugate_ops([p], w), inverse_circuit(w))
-            assert back == [p]
+            assert list(back) == [p]
 
     def test_hermiticity_exhaustive(self):
         # Every signed 2-qubit string under every gate stays sign +-1;
@@ -265,11 +350,11 @@ class TestMultiplyRows:
                 q = _random_pauli(n, rng)
                 if commutes(q, pivot):
                     ops.append(q)
-            x, z, r = pauli_rows(ops)
+            x, z, r = PauliRows.stack(ops).copies()
             rows = np.flatnonzero(rng.random(len(ops) - 1) < 0.7) + 1
             multiply_rows(x, z, r, rows, 0)
             for k, op in enumerate(ops):
-                got = row_pauli(x, z, r, k)
+                got = PauliRows(x, z, r)[k]
                 if k in rows:
                     assert got == multiply(op, pivot)
                     assert np.allclose(
@@ -279,7 +364,7 @@ class TestMultiplyRows:
                     assert got == op
 
     def test_anticommuting_row_raises(self):
-        x, z, r = pauli_rows([parse_pauli(s) for s in ["XI", "ZZ", "ZI"]])
+        x, z, r = PauliRows.from_strings(["XI", "ZZ", "ZI"]).copies()
         with pytest.raises(ValueError, match="imaginary"):
             multiply_rows(x, z, r, [1, 2], 0)
 
@@ -299,7 +384,7 @@ class TestInvariants:
             form = np.block([[zero, eye], [eye, zero]])
             for g in random_clifford_circuit(n, 25, rng).gates:
                 conjugate_rows(x, z, r, g)
-                assert gf2.rank(np.concatenate([x, z], axis=1)) == 2 * n
+                assert rank(np.concatenate([x, z], axis=1)) == 2 * n
                 xi, zi = x.astype(np.int64), z.astype(np.int64)
                 assert np.array_equal((xi @ zi.T + zi @ xi.T) % 2, form)
 

@@ -2,14 +2,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from pauliframe import gf2, multiply, parse_pauli, simultaneous_diagonalize
+from pauliframe import PauliRows, multiply, parse_pauli, simultaneous_diagonalize
 from pauliframe.oracle import unitary_from_circuit
-from pauliframe.pauli import conjugate_rows, pauli_rows, row_pauli
+from pauliframe.pauli import conjugate_rows
 from pauliframe.tableau import reduce_x_block
 
 from conftest import (
     hadamard_qubits,
     random_commuting_set,
+    rank,
     sets_with_dependent_rows,
     support_labels,
 )
@@ -34,11 +35,11 @@ class TestReduceXBlock:
         for _ in range(40):
             n = int(rng.integers(1, 7))
             ops = random_commuting_set(n, int(rng.integers(1, 9)), rng)
-            X = np.stack([op.x for op in ops])
-            x, z, r = pauli_rows(ops)
+            X = ops.x
+            x, z, r = ops.copies()
             pivots = reduce_x_block(x, z, r)
-            assert len(pivots) == gf2.rank(X)
-            assert gf2.rank(X[pivots]) == len(pivots)
+            assert len(pivots) == rank(X)
+            assert rank(X[pivots]) == len(pivots)
             # Every 0/1 combination of the pivot rows, one per row.
             combos = (np.arange(2 ** len(pivots))[:, None] >> np.arange(len(pivots))) & 1
             for k in np.setdiff1d(np.arange(len(ops)), pivots):
@@ -48,16 +49,16 @@ class TestReduceXBlock:
                 for p in pivots[coeffs == 1]:
                     prod = multiply(prod, ops[p])
                 assert not prod.x.any()
-                assert row_pauli(x, z, r, k) == prod
+                assert PauliRows(x, z, r)[k] == prod
 
     def test_first_open_row_pivots(self):
         # Column 0: XX pivots and -XI becomes -IX; column 1: IX pivots
         # and -IX becomes -II.
-        ops = [parse_pauli(s) for s in ["IX", "XX", "-XI"]]
-        x, z, r = pauli_rows(ops)
+        ops = PauliRows.from_strings(["IX", "XX", "-XI"])
+        x, z, r = ops.copies()
         assert reduce_x_block(x, z, r).tolist() == [1, 0]
-        assert row_pauli(x, z, r, 2) == parse_pauli("-II")
-        assert row_pauli(x, z, r, 0) == parse_pauli("IX")
+        assert PauliRows(x, z, r)[2] == parse_pauli("-II")
+        assert PauliRows(x, z, r)[0] == parse_pauli("IX")
 
 
 class TestSupportOfW:
@@ -66,13 +67,13 @@ class TestSupportOfW:
     # R = (e_q for q in P), t = 0, r = |P|.  ``support`` holds P.
 
     def test_z_only_set_has_the_zero_state(self):
-        diag = simultaneous_diagonalize([parse_pauli(s) for s in ["ZII", "-IZZ"]])
+        diag = simultaneous_diagonalize(PauliRows.from_strings(["ZII", "-IZZ"]))
         assert diag.circuit.gates == ()
         assert diag.support == ()
 
     def test_pivots_not_a_prefix(self):
         rows = ["ZXZIIIIIII", "IIIZXZIIII", "IIIIIIZXZI", "ZIIIIIIIIZ", "-IIZZIIIIII"]
-        diag = simultaneous_diagonalize([parse_pauli(s) for s in rows])
+        diag = simultaneous_diagonalize(PauliRows.from_strings(rows))
         assert hadamard_qubits(diag.circuit) == [1, 4, 7]
         assert diag.support == (1, 4, 7)
 
@@ -83,7 +84,7 @@ class TestSupportOfW:
         # product inserted before both of its factors, never become
         # pivots.
         for ops in sets_with_dependent_rows(np.random.default_rng(53), 200):
-            x, z, r = pauli_rows(ops)
+            x, z, r = ops.copies()
             first_x_bits = [int(np.flatnonzero(x[p])[0]) for p in reduce_x_block(x, z, r)]
             diag = simultaneous_diagonalize(ops)
             assert hadamard_qubits(diag.circuit) == first_x_bits
@@ -107,8 +108,8 @@ class TestSupportOfW:
             n = int(rng.integers(1, 17))
             ops = random_commuting_set(n, int(rng.integers(1, 10)), rng, n_gates=3 * n)
             sup = simultaneous_diagonalize(ops).support
-            assert len(sup) == gf2.rank(np.stack([op.x for op in ops]))
-            assert gf2.rank(np.eye(n, dtype=np.uint8)[list(sup)]) == len(sup)
+            assert len(sup) == rank(np.stack([op.x for op in ops]))
+            assert rank(np.eye(n, dtype=np.uint8)[list(sup)]) == len(sup)
 
     def test_fresh_stabilizers_match_the_hadamard_qubits(self):
         # Z_1..Z_n conjugated through W stabilize W|0...0>; they generate
@@ -122,7 +123,7 @@ class TestSupportOfW:
             P = hadamard_qubits(w)
             x, z, r = fresh_stabilizers(w)
             rest = np.setdiff1d(np.arange(n), P)
-            assert gf2.rank(x) == len(P)
+            assert rank(x) == len(P)
             assert not x[:, rest].any()
             assert not z[:, P].any()
             assert not r.any()
